@@ -3,18 +3,23 @@
 //! Host-side parallel execution substrate for the TeaLeaf reproduction.
 //!
 //! The paper's CPU results are produced by two very different runtimes:
-//! OpenMP's fork-join pool with *static* chunk scheduling, and Intel's
+//! OpenMP's fork-join teams with *static* chunk scheduling, and Intel's
 //! OpenCL CPU implementation built on TBB's *work-stealing* scheduler
-//! (§4.1 — the source of the OpenCL CPU variance). This crate provides
-//! faithful Rust counterparts of both:
+//! (§4.1 — the source of the OpenCL CPU variance). Both are one
+//! fork-join core (`fork_join.rs`) with a schedule:
 //!
-//! * [`StaticPool`] — persistent workers, contiguous per-worker index
-//!   ranges, barrier per parallel region. Models OpenMP
-//!   `schedule(static)` with pinned threads.
-//! * [`StealPool`] — persistent workers over a [`crossbeam_deque`] injector
-//!   with random stealing, fine-grained blocks, and a steal counter so the
-//!   scheduling noise can be observed. Models TBB.
+//! * [`StaticPool`] — one contiguous index block per participant. Models
+//!   OpenMP `schedule(static)` with pinned threads.
+//! * [`StealPool`] — participants claim chunks from a shared cursor in
+//!   arrival order, and a steal counter shows how far each schedule
+//!   strayed from the static one. Models TBB.
 //! * [`SerialExec`] — inline execution, the determinism reference.
+//!
+//! The core is persistent and caller-participating: a pool of `W`
+//! threads spawns `W − 1` workers and the posting thread runs the first
+//! share, as the OpenMP master thread and the TBB arena master do.
+//! Regions meet at a generation barrier, and a poster lock serialises
+//! concurrent posters and owns the reduction scratch.
 //!
 //! All three implement [`Executor`]. Reductions are **deterministic by
 //! construction**: every executor computes one partial per index and the
@@ -34,6 +39,7 @@
 //! ```
 
 pub mod executor;
+mod fork_join;
 pub mod metrics;
 pub mod permute;
 pub mod shared;

@@ -16,9 +16,9 @@ use crate::shared::CachePadded;
 /// Live counters embedded in a pool's shared state.
 ///
 /// Poster-side counters (`regions`, `inline_runs`, `poster_parks`) are
-/// bumped under the poster lock; worker-side counters (`steals`, the
-/// per-worker park slots) are relaxed atomics padded to their own cache
-/// lines so counting never induces sharing between workers.
+/// bumped by the posting thread; `steals` is added at most once per
+/// participant per region, and the per-worker park slots are padded to their own
+/// cache lines so counting never induces sharing between workers.
 #[derive(Debug)]
 pub(crate) struct Counters {
     pub regions: AtomicU64,
@@ -29,13 +29,14 @@ pub(crate) struct Counters {
 }
 
 impl Counters {
-    pub fn new(n_threads: usize) -> Self {
+    /// Counters with one park slot per spawned worker.
+    pub fn new(workers: usize) -> Self {
         Counters {
             regions: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             poster_parks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            worker_parks: (0..n_threads)
+            worker_parks: (0..workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         }
@@ -70,13 +71,16 @@ pub struct PoolMetrics {
     /// Regions executed inline on the posting thread (n too small to
     /// amortise the barrier).
     pub inline_runs: u64,
-    /// Times the poster exhausted its spin budget and parked waiting for
+    /// Times the poster exhausted its wait budget and parked waiting for
     /// region completion.
     pub poster_parks: u64,
-    /// Successful work steals ([`crate::StealPool`] only; 0 for the
-    /// static pool, whose schedule has nothing to steal).
+    /// Chunks run outside their claimer's static home block
+    /// ([`crate::StealPool`] only; 0 for the static pool, whose schedule
+    /// has nothing to steal).
     pub steals: u64,
-    /// Per-worker spin→park transitions while waiting for work.
+    /// Per-worker spin→park transitions while waiting for work, one slot
+    /// per spawned worker (a pool of `W` threads spawns `W − 1`; the
+    /// posting thread's waits are `poster_parks`).
     pub worker_parks: Vec<u64>,
 }
 

@@ -1,390 +1,60 @@
-//! A persistent fork-join pool with OpenMP-style static scheduling.
+//! OpenMP-style static scheduling on the fork-join core.
 //!
-//! Workers are spawned once and wait for work on a **generation barrier**:
-//! the poster publishes a job, then bumps an atomic generation counter;
-//! workers spin on the counter for a few microseconds (the common case in a
-//! solver inner loop, where the next region arrives almost immediately) and
-//! only park on a condvar when no work shows up. This replaces the earlier
-//! mutex+condvar handshake, which paid two lock round-trips per worker per
-//! region and dominated the cost of dispatch-bound kernels on small meshes.
-//!
-//! Each parallel region (`run`) assigns worker `w` the contiguous index
-//! block `[w·n/W, (w+1)·n/W)` — the analogue of `#pragma omp parallel for
-//! schedule(static)` with `OMP_PROC_BIND=close`, which is how the paper ran
-//! its CPU and KNC experiments (§4.1, §4.3: "thread affinity set to
-//! compact").
-//!
-//! ## Determinism of reductions
-//!
-//! [`StaticPool::run_sum`] (and `run_sum4`) keep the crate-wide contract:
-//! one partial **per index**, folded sequentially in index order. Per-worker
-//! block pre-summation would be cheaper but regroups the floating-point
-//! additions — `(a₀+a₁)+(a₂+a₃)` is not `((a₀+a₁)+a₂)+a₃` — and so would
-//! break bit-identity with [`SerialExec`](crate::SerialExec) and with other
-//! thread counts. What the rework removes instead is the *allocation*: the
-//! pool owns grow-only scratch buffers behind the poster lock, so
-//! steady-state reductions never touch the heap. Writes to the scratch are
-//! per-index and thus disjoint; only the handful of indices at block
-//! boundaries ever share a cache line.
-
-use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use parking_lot::{Condvar, Mutex};
+//! A region over `n` indices gives participant `p` of `W` the contiguous
+//! block `[p·n/W, (p+1)·n/W)` — the analogue of `#pragma omp parallel for
+//! schedule(static)` with `OMP_PROC_BIND=close`, which is how the paper
+//! ran its CPU and KNC experiments (§4.1, §4.3: "thread affinity set to
+//! compact"). The posting thread is participant 0, like the OpenMP master
+//! thread, so a pool of `W` threads spawns `W − 1` workers. The barrier,
+//! the poster lock and the allocation-free reductions are the shared
+//! fork-join core (`fork_join.rs`).
 
 use crate::executor::Executor;
-use crate::metrics::{Counters, PoolMetrics};
-use crate::shared::{CachePadded, UnsafeSlice};
-
-/// Type-erased pointer to the parallel-region body.
-///
-/// The body is a `&dyn Fn(usize)` borrowed from the caller's stack; `run`
-/// blocks until every worker finished with it, which is what makes the
-/// lifetime erasure sound.
-#[derive(Clone, Copy)]
-struct JobFn {
-    ptr: *const (dyn Fn(usize) + Sync),
-}
-// SAFETY: the pointee is `Sync` and outlives the job (the posting thread
-// blocks in `run` until all workers signalled completion).
-unsafe impl Send for JobFn {}
-unsafe impl Sync for JobFn {}
-
-/// Spin iterations before a waiter parks (workers) or blocks (poster).
-/// Roughly a few microseconds on current hardware — comparable to OpenMP's
-/// default `OMP_WAIT_POLICY=passive` grace spin, and far longer than the
-/// gap between back-to-back regions in a solver inner loop.
-const SPIN_ITERS: u32 = 4096;
-
-/// Barrier state shared between the poster and the workers.
-///
-/// The handshake per region is:
-/// 1. poster writes `job` and resets `done`, then bumps `generation`
-///    (Release) — the bump *publishes* the job;
-/// 2. workers observe the bump (Acquire), read `job`, execute their static
-///    block, then increment `done` (AcqRel);
-/// 3. the last worker to finish notifies `done_cv` in case the poster gave
-///    up spinning; the poster returns once `done == n_threads`.
-///
-/// `generation` and `done` live on separate cache lines: workers hammer
-/// `generation` while spinning and `done` while finishing, and the poster
-/// does the reverse; sharing a line would bounce it on every transition.
-struct Barrier {
-    /// Monotonic epoch counter. Odd/even sense is not needed — workers
-    /// remember the last generation they executed and react to any change.
-    generation: CachePadded<AtomicU64>,
-    /// Workers that have finished the current region.
-    done: CachePadded<AtomicUsize>,
-    /// Job published before the `generation` bump. Only valid for workers
-    /// that observed a generation they have not yet executed.
-    job: UnsafeCell<Option<(JobFn, usize)>>,
-    shutdown: AtomicBool,
-    panicked: AtomicBool,
-    /// Count of parked workers, guarded by the mutex `idle_cv` waits on.
-    idle: Mutex<usize>,
-    idle_cv: Condvar,
-    /// Poster parking for long regions (taken only after the spin budget).
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
-    /// Scheduler counters (regions, parks); always on, relaxed atomics.
-    metrics: Counters,
-}
-
-// SAFETY: `job` is written only by the poster before the Release bump of
-// `generation` and read only by workers after the matching Acquire load, so
-// accesses are ordered; there is exactly one poster at a time (guarded by
-// the pool's poster lock).
-unsafe impl Sync for Barrier {}
-
-/// Reduction scratch owned by the pool, reused across regions so
-/// `run_sum`/`run_sum4` are allocation-free once warmed up.
-struct Scratch {
-    partials: Vec<f64>,
-    partials4: Vec<[f64; 4]>,
-}
+use crate::fork_join::{ForkJoin, Schedule};
+use crate::metrics::PoolMetrics;
 
 /// Persistent static-scheduling thread pool. See module docs.
-pub struct StaticPool {
-    barrier: Arc<Barrier>,
-    /// Serialises parallel regions (the generation protocol is single-
-    /// poster) and owns the reduction scratch.
-    poster: Mutex<Scratch>,
-    workers: Vec<JoinHandle<()>>,
-    n_threads: usize,
-}
+pub struct StaticPool(ForkJoin);
 
 impl StaticPool {
-    /// Spawn a pool with `n_threads` workers.
+    /// A pool of `n_threads`: the calling thread plus `n_threads − 1`
+    /// spawned workers.
     ///
     /// # Panics
     /// Panics if `n_threads == 0`.
     pub fn new(n_threads: usize) -> Self {
-        assert!(n_threads > 0, "pool needs at least one worker");
-        let barrier = Arc::new(Barrier {
-            generation: CachePadded::new(AtomicU64::new(0)),
-            done: CachePadded::new(AtomicUsize::new(0)),
-            job: UnsafeCell::new(None),
-            shutdown: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-            idle: Mutex::new(0),
-            idle_cv: Condvar::new(),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-            metrics: Counters::new(n_threads),
-        });
-        let workers = (0..n_threads)
-            .map(|w| {
-                let barrier = Arc::clone(&barrier);
-                std::thread::Builder::new()
-                    .name(format!("parpool-static-{w}"))
-                    .spawn(move || worker_loop(w, n_threads, barrier))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        StaticPool {
-            barrier,
-            poster: Mutex::new(Scratch {
-                partials: Vec::new(),
-                partials4: Vec::new(),
-            }),
-            workers,
-            n_threads,
-        }
-    }
-
-    /// Publish a region and block until every worker has executed its
-    /// block. Caller must hold the poster lock (single-poster protocol).
-    fn post_and_wait(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        // Erase the caller lifetime. SAFETY: we do not return until every
-        // worker has finished executing the job, so the borrow stays live
-        // for the whole time any worker can dereference it.
-        let job = JobFn {
-            ptr: unsafe { std::mem::transmute::<_, *const (dyn Fn(usize) + Sync)>(f) },
-        };
-        let b = &*self.barrier;
-        b.metrics.regions.fetch_add(1, Ordering::Relaxed);
-        b.done.store(0, Ordering::Relaxed);
-        // SAFETY: single poster; workers read `job` only after observing
-        // the generation bump below, which orders this write before them.
-        unsafe { *b.job.get() = Some((job, n)) };
-        b.generation.fetch_add(1, Ordering::Release);
-        // Wake anyone who parked. Taking the lock (not just reading the
-        // counter) closes the race with a worker that is between its final
-        // generation check and the condvar wait.
-        {
-            let idle = b.idle.lock();
-            if *idle > 0 {
-                b.idle_cv.notify_all();
-            }
-        }
-        // Wait for completion: spin first (regions are usually short),
-        // then park on `done_cv`.
-        let mut spins = 0u32;
-        while b.done.load(Ordering::Acquire) < self.n_threads {
-            if spins < SPIN_ITERS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                b.metrics.poster_parks.fetch_add(1, Ordering::Relaxed);
-                let mut guard = b.done_lock.lock();
-                while b.done.load(Ordering::Acquire) < self.n_threads {
-                    b.done_cv.wait(&mut guard);
-                }
-                break;
-            }
-        }
-        if b.panicked.swap(false, Ordering::SeqCst) {
-            panic!("a parpool worker panicked while executing a parallel region");
-        }
+        StaticPool(ForkJoin::new(n_threads, Schedule::Static, "parpool-static"))
     }
 
     /// Snapshot of the pool's scheduler counters since creation.
     pub fn metrics(&self) -> PoolMetrics {
-        self.barrier.metrics.snapshot()
-    }
-}
-
-/// Wait until `generation` moves past `seen`; spin briefly, then park.
-fn wait_for_generation(b: &Barrier, worker: usize, seen: u64) -> u64 {
-    let mut spins = 0u32;
-    loop {
-        let g = b.generation.load(Ordering::Acquire);
-        if g != seen {
-            return g;
-        }
-        if spins < SPIN_ITERS {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            let mut idle = b.idle.lock();
-            // Re-check under the lock: the poster bumps the generation
-            // *before* taking this lock to notify, so either we see the
-            // bump here or the poster's notify can only happen after we
-            // are registered as a sleeper and inside `wait`.
-            let g = b.generation.load(Ordering::Acquire);
-            if g != seen {
-                return g;
-            }
-            b.metrics.worker_parked(worker);
-            *idle += 1;
-            b.idle_cv.wait(&mut idle);
-            *idle -= 1;
-            spins = 0;
-        }
-    }
-}
-
-fn worker_loop(worker: usize, n_threads: usize, barrier: Arc<Barrier>) {
-    let mut seen = 0u64;
-    loop {
-        seen = wait_for_generation(&barrier, worker, seen);
-        if barrier.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: the generation bump (Acquire-observed above) was
-        // published after the poster wrote `job`.
-        let (job, n) = unsafe { (*barrier.job.get()).expect("job published with generation") };
-        // Static contiguous block for this worker.
-        let start = worker * n / n_threads;
-        let end = (worker + 1) * n / n_threads;
-        if start < end {
-            // SAFETY: the posting thread keeps the closure alive until all
-            // workers report done (see `post_and_wait`).
-            let f = unsafe { &*job.ptr };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    f(i);
-                }
-            }));
-            if result.is_err() {
-                barrier.panicked.store(true, Ordering::SeqCst);
-            }
-        }
-        // Signal completion; the last worker wakes the poster if it parked.
-        if barrier.done.fetch_add(1, Ordering::AcqRel) + 1 == n_threads {
-            let _guard = barrier.done_lock.lock();
-            barrier.done_cv.notify_one();
-        }
+        self.0.metrics()
     }
 }
 
 impl Executor for StaticPool {
     fn threads(&self) -> usize {
-        self.n_threads
+        self.0.participants()
     }
 
     fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        // Inline fast path: when there are fewer items than workers the
-        // barrier round-trip costs more than the work; run on the posting
-        // thread in index order (which also keeps reductions built on
-        // `run` bit-identical — see `run_sum`).
-        if n < self.n_threads || self.n_threads == 1 {
-            self.barrier
-                .metrics
-                .inline_runs
-                .fetch_add(1, Ordering::Relaxed);
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let _poster = self.poster.lock();
-        self.post_and_wait(n, f);
+        self.0.run(n, f)
     }
 
     fn run_sum(&self, n: usize, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        if n < self.n_threads || self.n_threads == 1 {
-            // Left fold from 0.0 in index order — exactly the fold the
-            // partial-buffer path below performs, so the inline shortcut
-            // cannot change the result.
-            self.barrier
-                .metrics
-                .inline_runs
-                .fetch_add(1, Ordering::Relaxed);
-            let mut acc = 0.0f64;
-            for i in 0..n {
-                acc += f(i);
-            }
-            return acc;
-        }
-        let mut scratch = self.poster.lock();
-        if scratch.partials.len() < n {
-            scratch.partials.resize(n, 0.0);
-        }
-        {
-            let slot = UnsafeSlice::new(&mut scratch.partials[..n]);
-            // SAFETY: each index is visited exactly once → disjoint writes.
-            self.post_and_wait(n, &|i| unsafe { slot.set(i, f(i)) });
-        }
-        scratch.partials[..n].iter().sum()
+        self.0.run_sum(n, f)
     }
 
     fn run_sum4(&self, n: usize, f: &(dyn Fn(usize) -> [f64; 4] + Sync)) -> [f64; 4] {
-        if n == 0 {
-            return [0.0; 4];
-        }
-        if n < self.n_threads || self.n_threads == 1 {
-            self.barrier
-                .metrics
-                .inline_runs
-                .fetch_add(1, Ordering::Relaxed);
-            let mut acc = [0.0f64; 4];
-            for i in 0..n {
-                let v = f(i);
-                for k in 0..4 {
-                    acc[k] += v[k];
-                }
-            }
-            return acc;
-        }
-        let mut scratch = self.poster.lock();
-        if scratch.partials4.len() < n {
-            scratch.partials4.resize(n, [0.0; 4]);
-        }
-        {
-            let slot = UnsafeSlice::new(&mut scratch.partials4[..n]);
-            // SAFETY: disjoint per-index writes as in `run_sum`.
-            self.post_and_wait(n, &|i| unsafe { slot.set(i, f(i)) });
-        }
-        let mut acc = [0.0f64; 4];
-        for p in &scratch.partials4[..n] {
-            for k in 0..4 {
-                acc[k] += p[k];
-            }
-        }
-        acc
-    }
-}
-
-impl Drop for StaticPool {
-    fn drop(&mut self) {
-        let b = &*self.barrier;
-        b.shutdown.store(true, Ordering::Release);
-        // The bump wakes spinners; the notify wakes parked workers. The
-        // Release bump also publishes the shutdown flag to Acquire readers.
-        b.generation.fetch_add(1, Ordering::Release);
-        {
-            let _idle = b.idle.lock();
-            b.idle_cv.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.0.run_sum4(n, f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StealPool;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -409,19 +79,27 @@ mod tests {
 
     #[test]
     fn sum_bit_identical_across_inline_and_pool_paths() {
-        // Pin the inline shortcut (n < n_threads) to the exact same fold
-        // as the pooled partial-buffer path and as SerialExec, for trip
-        // counts straddling every dispatch-path boundary.
+        // Pin the inline shortcuts (n < n_threads on the static pool, one
+        // grain on the stealing pool) to the exact same fold as the pooled
+        // partial-buffer path and as SerialExec, for trip counts
+        // straddling every dispatch-path boundary.
         let t = 6;
-        let pool = StaticPool::new(t);
+        let static_pool = StaticPool::new(t);
+        let steal_pool = StealPool::new(t);
+        let pools: [&dyn Executor; 2] = [&static_pool, &steal_pool];
         let f = |i: usize| ((i as f64) * 0.37).cos() / ((i % 13) as f64 + 0.5);
-        for n in [0, 1, t - 1, t, 10 * t] {
-            let par = pool.run_sum(n, &f);
-            let ser = crate::SerialExec.run_sum(n, &f);
-            assert_eq!(par, ser, "n = {n}: inline/pool path changed the reduction");
-            let par4 = pool.run_sum4(n, &|i| [f(i), 2.0 * f(i), -f(i), 0.0]);
-            let ser4 = crate::SerialExec.run_sum4(n, &|i| [f(i), 2.0 * f(i), -f(i), 0.0]);
-            assert_eq!(par4, ser4, "n = {n}: run_sum4 diverged");
+        for (k, pool) in pools.into_iter().enumerate() {
+            for n in [0, 1, 4, 5, t - 1, t, 10 * t] {
+                let par = pool.run_sum(n, &f);
+                let ser = crate::SerialExec.run_sum(n, &f);
+                assert_eq!(
+                    par, ser,
+                    "pool #{k} n = {n}: inline/pool path changed the reduction"
+                );
+                let par4 = pool.run_sum4(n, &|i| [f(i), 2.0 * f(i), -f(i), 0.0]);
+                let ser4 = crate::SerialExec.run_sum4(n, &|i| [f(i), 2.0 * f(i), -f(i), 0.0]);
+                assert_eq!(par4, ser4, "pool #{k} n = {n}: run_sum4 diverged");
+            }
         }
     }
 
@@ -471,30 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_posters_serialise() {
-        // Two threads race `run` on the same pool; the poster lock must
-        // serialise regions without lost updates or deadlock.
-        let pool = StaticPool::new(4);
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    for _ in 0..200 {
-                        pool.run(32, &|_| {
-                            total.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 2 * 200 * 32);
-    }
-
-    #[test]
     fn parked_workers_wake_after_idle_gap() {
         let pool = StaticPool::new(4);
         pool.run(64, &|_| {});
-        // Long enough for every worker to blow its spin budget and park.
+        // Long enough for every worker to spend its wait budget and park.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let s = pool.run_sum(1000, &|i| i as f64);
         assert_eq!(s, 499_500.0);
@@ -527,8 +185,8 @@ mod tests {
         assert_eq!(m.regions, 10);
         assert_eq!(m.inline_runs, 1);
         assert_eq!(m.steals, 0, "static schedule has nothing to steal");
-        assert_eq!(m.worker_parks.len(), 4);
-        // Let every worker blow its spin budget and park, then verify the
+        assert_eq!(m.worker_parks.len(), 3, "one slot per spawned worker");
+        // Let every worker spend its wait budget and park, then verify the
         // next region still works and the park was counted.
         std::thread::sleep(std::time::Duration::from_millis(50));
         pool.run(256, &|_| {});
