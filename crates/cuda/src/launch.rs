@@ -47,15 +47,16 @@ impl<'a> CudaStream<'a> {
 
 /// Launch `kernel(tid)` over every thread of `cfg`. The kernel body is
 /// responsible for the overspill guard (`if tid >= n return`), exactly as
-/// in CUDA C.
+/// in CUDA C. Threads are lowered onto the host executor as contiguous
+/// blocks ([`parpool::run_each`]).
 pub fn launch(
     stream: &CudaStream<'_>,
     cfg: LaunchConfig,
     profile: &KernelProfile,
-    kernel: &(dyn Fn(usize) + Sync),
+    kernel: &(impl Fn(usize) + Sync + ?Sized),
 ) {
     stream.ctx.launch(profile);
-    stream.exec.run(cfg.threads(), kernel);
+    parpool::run_each(stream.exec, cfg.threads(), kernel);
 }
 
 /// The hand-written CUDA reduction of §3.5: pass 1 computes one partial
@@ -66,10 +67,10 @@ pub fn launch_reduce(
     stream: &CudaStream<'_>,
     cfg: LaunchConfig,
     profile: &KernelProfile,
-    block_partial: &(dyn Fn(usize) -> f64 + Sync),
+    block_partial: &(impl Fn(usize) -> f64 + Sync + ?Sized),
 ) -> f64 {
     stream.ctx.launch(profile);
-    let value = stream.exec.run_sum(cfg.grid, block_partial);
+    let value = stream.exec.run_sum(cfg.grid, &|block| block_partial(block));
     let final_profile = KernelProfile::new(
         "block_reduce_final",
         cfg.grid as u64,

@@ -95,41 +95,46 @@ impl<'a> ExecutionSpace<'a> {
         self.ctx
     }
 
-    /// `Kokkos::parallel_for` over a flat range.
-    pub fn parallel_for(
+    /// `Kokkos::parallel_for` over a flat range, lowered onto the
+    /// executor as contiguous blocks ([`parpool::run_each`]).
+    pub fn parallel_for<F: Fn(usize) + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
-        f: &(dyn Fn(usize) + Sync),
+        f: &F,
     ) {
         self.ctx.launch(profile);
         let start = policy.start;
-        self.exec.run(policy.len(), &|k| f(start + k));
+        parpool::run_each(self.exec, policy.len(), &move |k| f(start + k));
     }
 
     /// `Kokkos::parallel_reduce` with the default sum semantics.
-    pub fn parallel_reduce(
+    pub fn parallel_reduce<F: Fn(usize) -> f64 + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
-        f: &(dyn Fn(usize) -> f64 + Sync),
+        f: &F,
     ) -> f64 {
         self.ctx.launch(profile);
         let start = policy.start;
-        self.exec.run_sum(policy.len(), &|k| f(start + k))
+        self.exec.run_sum(policy.len(), &move |k| f(start + k))
     }
 
     /// `Kokkos::parallel_reduce` with a custom [`Reducer`].
     ///
     /// Partials are produced per index and joined in index order, so the
     /// result is deterministic for any executor.
-    pub fn parallel_reduce_custom<R: Reducer>(
+    pub fn parallel_reduce_custom<R, F>(
         &self,
         profile: &KernelProfile,
         policy: RangePolicy,
         reducer: &R,
-        f: &(dyn Fn(usize) -> R::Value + Sync),
-    ) -> R::Value {
+        f: &F,
+    ) -> R::Value
+    where
+        R: Reducer,
+        F: Fn(usize) -> R::Value + Sync + ?Sized,
+    {
         self.ctx.launch(profile);
         let n = policy.len();
         let start = policy.start;
@@ -169,16 +174,17 @@ impl<'a> ExecutionSpace<'a> {
         self.parallel_reduce(profile, policy, &|i| functor.operator(i))
     }
 
-    /// Hierarchical `parallel_for` over a league of teams.
-    pub fn team_parallel_for(
+    /// Hierarchical `parallel_for` over a league of teams, lowered onto
+    /// the executor as contiguous blocks of teams.
+    pub fn team_parallel_for<F: Fn(TeamMember) + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: TeamPolicy,
-        f: &(dyn Fn(TeamMember) + Sync),
+        f: &F,
     ) {
         self.ctx.launch(profile);
         let team_size = policy.team_size;
-        self.exec.run(policy.league_size, &|league_rank| {
+        parpool::run_each(self.exec, policy.league_size, &move |league_rank| {
             f(TeamMember {
                 league_rank,
                 team_size,
@@ -188,15 +194,15 @@ impl<'a> ExecutionSpace<'a> {
 
     /// Hierarchical `parallel_reduce`: one partial per team, joined in
     /// league order.
-    pub fn team_parallel_reduce(
+    pub fn team_parallel_reduce<F: Fn(TeamMember) -> f64 + Sync + ?Sized>(
         &self,
         profile: &KernelProfile,
         policy: TeamPolicy,
-        f: &(dyn Fn(TeamMember) -> f64 + Sync),
+        f: &F,
     ) -> f64 {
         self.ctx.launch(profile);
         let team_size = policy.team_size;
-        self.exec.run_sum(policy.league_size, &|league_rank| {
+        self.exec.run_sum(policy.league_size, &move |league_rank| {
             f(TeamMember {
                 league_rank,
                 team_size,
@@ -372,6 +378,25 @@ mod tests {
         let lambda_val =
             space.parallel_reduce(&profile(100), RangePolicy::new(0, 100), &|i| a[i] * b[i]);
         assert_eq!(functor_val, lambda_val);
+    }
+
+    #[test]
+    fn dyn_fn_bodies_still_dispatch() {
+        let ctx = ctx();
+        let pool = parpool::StaticPool::new(2);
+        let space = ExecutionSpace::new(&ctx, &pool);
+        let hits = std::sync::atomic::AtomicUsize::new(0);
+        let body: &(dyn Fn(usize) + Sync) = &|_| {
+            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        };
+        space.parallel_for(&profile(300), RangePolicy::new(0, 300), body);
+        let team: &(dyn Fn(TeamMember) + Sync) = &|m| m.team_thread_range(3, body);
+        let teams = TeamPolicy {
+            league_size: 100,
+            team_size: 4,
+        };
+        space.team_parallel_for(&profile(300), teams, team);
+        assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 600);
     }
 
     #[test]

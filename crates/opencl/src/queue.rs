@@ -150,7 +150,9 @@ impl<'a> CommandQueue<'a> {
     }
 
     /// `clEnqueueNDRangeKernel`: launch `kernel` over `range`, executing
-    /// `f(global_id)` for every work item.
+    /// `f(global_id)` for every work item. Work items are lowered onto the
+    /// executor as contiguous blocks ([`parpool::run_each`]), the way a
+    /// CPU OpenCL runtime runs a work-group's items as one loop.
     ///
     /// # Panics
     /// Panics if any declared argument is unset, or if an explicit local
@@ -160,7 +162,7 @@ impl<'a> CommandQueue<'a> {
         kernel: &Kernel,
         profile: &KernelProfile,
         range: NdRange,
-        f: &(dyn Fn(usize) + Sync),
+        f: &(impl Fn(usize) + Sync + ?Sized),
     ) -> Event {
         kernel.assert_ready();
         if let Some(local) = range.local {
@@ -171,7 +173,7 @@ impl<'a> CommandQueue<'a> {
         }
         let start = self.sim.clock.seconds();
         let duration = self.sim.launch(profile);
-        self.exec.run(range.global, f);
+        parpool::run_each(self.exec, range.global, f);
         Event { start, duration }
     }
 
@@ -184,12 +186,12 @@ impl<'a> CommandQueue<'a> {
         kernel: &Kernel,
         profile: &KernelProfile,
         n_groups: usize,
-        f: &(dyn Fn(usize) -> f64 + Sync),
+        f: &(impl Fn(usize) -> f64 + Sync + ?Sized),
     ) -> (f64, Event) {
         kernel.assert_ready();
         let start = self.sim.clock.seconds();
         let d1 = self.sim.launch(profile);
-        let value = self.exec.run_sum(n_groups, f);
+        let value = self.exec.run_sum(n_groups, &|g| f(g));
         // final pass over the work-group partials
         let final_profile = KernelProfile::new(
             "reduce_final_pass",
@@ -228,12 +230,12 @@ impl<'a> CommandQueue<'a> {
         kernel: &Kernel,
         profile: &KernelProfile,
         n_groups: usize,
-        f: &(dyn Fn(usize) -> f64 + Sync),
+        f: &(impl Fn(usize) -> f64 + Sync + ?Sized),
     ) -> (f64, Event) {
         kernel.assert_ready();
         let start = self.sim.clock.seconds();
         let duration = self.sim.launch(profile);
-        let value = self.exec.run_sum(n_groups, f);
+        let value = self.exec.run_sum(n_groups, &|g| f(g));
         (value, Event { start, duration })
     }
 

@@ -95,6 +95,51 @@ pub fn run_sum_many<const K: usize>(
     acc
 }
 
+/// Blocks per participant that [`run_each`] cuts an index space into.
+/// Sixteen leaves the dynamic schedule its usual `4·W` chunks of four
+/// blocks each, so `StealPool` still balances load as it does over
+/// single indices.
+const BLOCKS_PER_THREAD: usize = 16;
+
+/// Number of contiguous blocks [`run_each`] lowers `n` indices onto for
+/// an executor of `threads` participants: `min(n, 16·threads)`. Sized
+/// from the executor, not from a fixed grain, so that a short index space
+/// (a few hundred rows) still spreads over every participant.
+pub fn block_count(threads: usize, n: usize) -> usize {
+    n.min(BLOCKS_PER_THREAD * threads.max(1))
+}
+
+/// Run `f(i)` for every `i in 0..n`, lowered onto [`Executor::run`] as
+/// [`block_count`] contiguous blocks: one dynamic call per block, inside
+/// which `f` is a statically known type and inlines into a plain loop.
+/// This is how the dispatch shims give per-index bodies (lambdas over a
+/// cell index) the code generation of a hand-written row loop.
+///
+/// Every index runs exactly once; blocks may run concurrently and in any
+/// order, indices within a block in ascending order. An executor inlines
+/// the region exactly when it would inline `run(n, ..)`: the block count
+/// is below the participant count exactly when `n` is, and is at most
+/// one dynamic grain exactly when `n` is.
+pub fn run_each<F>(exec: &(impl Executor + ?Sized), n: usize, f: &F)
+where
+    F: Fn(usize) + Sync + ?Sized,
+{
+    let blocks = block_count(exec.threads(), n);
+    exec.run(blocks, &move |b| {
+        run_block(f, b * n / blocks..(b + 1) * n / blocks);
+    });
+}
+
+/// The loop of one [`run_each`] block. `f` arrives as a shared-reference
+/// argument, so the compiler may keep its captures in registers across
+/// iterations.
+#[inline(always)]
+fn run_block<F: Fn(usize) + ?Sized>(f: &F, range: std::ops::Range<usize>) {
+    for i in range {
+        f(i);
+    }
+}
+
 /// Inline, single-threaded executor: the behavioural reference every pool
 /// must agree with exactly.
 #[derive(Debug, Clone, Copy, Default)]

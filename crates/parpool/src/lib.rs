@@ -21,6 +21,13 @@
 //! Regions meet at a generation barrier, and a poster lock serialises
 //! concurrent posters and owns the reduction scratch.
 //!
+//! A region's body is one `&dyn Fn(usize)` call per index. Programming-
+//! model shims whose bodies are per-index lambdas dispatch through
+//! [`run_each`] instead: it cuts the index space into
+//! [`block_count`]`(W, n)` contiguous blocks, one dynamic call each, so
+//! the lambda inlines into a loop the compiler can vectorise. It inlines
+//! exactly the regions `run` would inline.
+//!
 //! All three implement [`Executor`]. Reductions are **deterministic by
 //! construction**: every executor computes one partial per index and the
 //! partials are summed in index order, so any thread count, any scheduler
@@ -47,7 +54,7 @@ pub mod static_pool;
 pub mod steal_pool;
 pub mod tiled;
 
-pub use executor::{run_sum_many, Executor, SerialExec};
+pub use executor::{block_count, run_each, run_sum_many, Executor, SerialExec};
 pub use metrics::PoolMetrics;
 pub use permute::PermutedExec;
 pub use shared::UnsafeSlice;

@@ -13,6 +13,11 @@ use std::marker::PhantomData;
 /// A wrapper around `&mut [T]` that can be shared across threads and
 /// written through a shared reference, provided callers uphold the
 /// disjointness contract documented on each method.
+///
+/// The handle is a raw pointer plus a length, so it is `Copy`: a lambda
+/// can capture it by value. Copies are the same handle — the contract on
+/// each method holds across every copy, exactly as across threads.
+#[derive(Clone, Copy)]
 pub struct UnsafeSlice<'a, T> {
     ptr: *mut T,
     len: usize,

@@ -36,17 +36,18 @@ fn profile_for(seg: &Segment, profile: &KernelProfile) -> KernelProfile {
 }
 
 /// `RAJA::forall<P>(segment, lambda)` — execute `f` over every index the
-/// segment yields.
+/// segment yields. Parallel policies lower the segment onto the executor
+/// as contiguous blocks of iteration positions ([`parpool::run_each`]).
 pub fn forall<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync + ?Sized),
 ) {
     rt.ctx.launch(&profile_for(seg, profile));
     let n = seg.len();
     if P::PARALLEL {
-        rt.exec.run(n, &|k| f(seg.at(k)));
+        parpool::run_each(rt.exec, n, &move |k| f(seg.at(k)));
     } else {
         for k in 0..n {
             f(seg.at(k));
@@ -60,12 +61,12 @@ pub fn forall_sum<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) -> f64 + Sync),
+    f: &(impl Fn(usize) -> f64 + Sync + ?Sized),
 ) -> f64 {
     rt.ctx.launch(&profile_for(seg, profile));
     let n = seg.len();
     if P::PARALLEL {
-        rt.exec.run_sum(n, &|k| f(seg.at(k)))
+        rt.exec.run_sum(n, &move |k| f(seg.at(k)))
     } else {
         (0..n).map(|k| f(seg.at(k))).sum()
     }
@@ -79,12 +80,12 @@ pub fn forall_sum_many<P: ExecPolicy, const K: usize>(
     rt: &RajaRuntime<'_>,
     seg: &Segment,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) -> [f64; K] + Sync),
+    f: &(impl Fn(usize) -> [f64; K] + Sync + ?Sized),
 ) -> [f64; K] {
     rt.ctx.launch(&profile_for(seg, profile));
     let n = seg.len();
     if P::PARALLEL {
-        parpool::run_sum_many(rt.exec, n, &|k| f(seg.at(k)))
+        parpool::run_sum_many(rt.exec, n, &move |k| f(seg.at(k)))
     } else {
         let mut acc = [0.0; K];
         for k in 0..n {
@@ -104,7 +105,7 @@ pub fn forall_set<P: ExecPolicy>(
     rt: &RajaRuntime<'_>,
     set: &IndexSet,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync + ?Sized),
 ) {
     for seg in set.segments() {
         forall::<P>(rt, seg, profile, f);

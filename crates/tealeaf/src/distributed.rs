@@ -400,7 +400,9 @@ impl Worker<'_> {
 // Each pass destructures the tile so written fields get `Us` wrappers
 // while read fields stay shared slices, exactly like the serial ports.
 // SAFETY throughout: single-threaded within the rank, each cell written
-// by exactly one call per pass.
+// by exactly one call per pass; `tile::for_cells` visits interior cells
+// only, and each pass checks its fields with `common::assert_fields`
+// before it reads any (the cell kernels' bounds proof).
 
 fn k_init_u0(t: &mut Tile) {
     let Tile {
@@ -449,6 +451,7 @@ fn k_cg_init(t: &mut Tile) {
     let mesh = &geom.mesh;
     let width = mesh.width();
     let (w, r, p, z) = (Us::new(w), Us::new(r), Us::new(p), Us::new(z));
+    common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p, &z]);
     tile::for_cells(mesh, Span::All, |k| {
         let _ = unsafe { common::cell_cg_init(width, k, false, u, u0, kx, ky, &w, &r, &p, &z) };
     });
@@ -461,6 +464,7 @@ fn k_cg_calc_w(t: &mut Tile, span: Span) {
     let mesh = &geom.mesh;
     let width = mesh.width();
     let w = Us::new(w);
+    common::assert_fields(mesh, &[p, kx, ky], &[&w]);
     tile::for_cells(mesh, span, |k| {
         let _ = unsafe { common::cell_cg_calc_w(width, k, p, kx, ky, &w) };
     });
@@ -481,6 +485,7 @@ fn k_cg_calc_ur(t: &mut Tile, alpha: f64) {
     let mesh = &geom.mesh;
     let width = mesh.width();
     let (u, r, z) = (Us::new(u), Us::new(r), Us::new(z));
+    common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
     tile::for_cells(mesh, Span::All, |k| {
         let _ =
             unsafe { common::cell_cg_calc_ur(width, k, alpha, false, p, w, kx, ky, &u, &r, &z) };
@@ -490,6 +495,7 @@ fn k_cg_calc_ur(t: &mut Tile, alpha: f64) {
 fn k_cg_calc_p(t: &mut Tile, beta: f64) {
     let Tile { geom, r, z, p, .. } = t;
     let p = Us::new(p);
+    common::assert_fields(&geom.mesh, &[r, z], &[&p]);
     tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
         common::cell_cg_calc_p(k, beta, false, r, z, &p)
     });
@@ -510,6 +516,7 @@ fn k_cheby_calc_p(t: &mut Tile, span: Span, first: bool, theta: f64, alpha: f64,
     let mesh = &geom.mesh;
     let width = mesh.width();
     let (w, r, p) = (Us::new(w), Us::new(r), Us::new(p));
+    common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p]);
     tile::for_cells(mesh, span, |k| unsafe {
         common::cell_cheby_calc_p(
             width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
@@ -520,6 +527,7 @@ fn k_cheby_calc_p(t: &mut Tile, span: Span, first: bool, theta: f64, alpha: f64,
 fn k_add_p_to_u(t: &mut Tile) {
     let Tile { geom, p, u, .. } = t;
     let u = Us::new(u);
+    common::assert_fields(&geom.mesh, &[p], &[&u]);
     tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
         common::cell_add_p_to_u(k, p, &u)
     });
@@ -528,6 +536,7 @@ fn k_add_p_to_u(t: &mut Tile) {
 fn k_sd_init(t: &mut Tile, theta: f64) {
     let Tile { geom, r, sd, .. } = t;
     let sd = Us::new(sd);
+    common::assert_fields(&geom.mesh, &[r], &[&sd]);
     tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
         common::cell_sd_init(k, theta, r, &sd)
     });
@@ -545,6 +554,7 @@ fn k_ppcg_w(t: &mut Tile, span: Span) {
     let mesh = &geom.mesh;
     let width = mesh.width();
     let w = Us::new(w);
+    common::assert_fields(mesh, &[sd, kx, ky], &[&w]);
     tile::for_cells(mesh, span, |k| unsafe {
         common::cell_ppcg_w(width, k, sd, kx, ky, &w)
     });
@@ -555,6 +565,7 @@ fn k_ppcg_update(t: &mut Tile, alpha: f64, beta: f64) {
         geom, w, u, r, sd, ..
     } = t;
     let (u, r, sd) = (Us::new(u), Us::new(r), Us::new(sd));
+    common::assert_fields(&geom.mesh, &[w], &[&u, &r, &sd]);
     tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
         common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd)
     });
@@ -581,6 +592,7 @@ fn k_jacobi_sweep(t: &mut Tile, span: Span) {
     let mesh = &geom.mesh;
     let width = mesh.width();
     let u = Us::new(u);
+    common::assert_fields(mesh, &[u0, r, kx, ky], &[&u]);
     tile::for_cells(mesh, span, |k| {
         let _ = unsafe { common::cell_jacobi_iterate(width, k, u0, r, kx, ky, &u) };
     });
@@ -595,6 +607,7 @@ fn k_finalise(t: &mut Tile) {
         ..
     } = t;
     let energy = Us::new(energy);
+    common::assert_fields(&geom.mesh, &[u, density], &[&energy]);
     tile::for_cells(&geom.mesh, Span::All, |k| unsafe {
         common::cell_finalise(k, u, density, &energy)
     });
@@ -646,13 +659,9 @@ impl CkptCtx<'_> {
         );
         self.store.save(
             wkr.rank.id(),
-            TileCheckpoint {
-                key: (self.step, phase, iteration),
-                total_iterations: self.total_iterations,
-                converged_all: self.converged_all,
-                state,
-                tile: wkr.t.clone(),
-            },
+            (self.step, phase, iteration),
+            (self.total_iterations, self.converged_all, state),
+            &wkr.t,
         );
     }
 }
@@ -1464,16 +1473,43 @@ impl CheckpointStore {
         }
     }
 
-    fn save(&self, rank: usize, ck: TileCheckpoint) {
+    /// Save `tile` under `key` with its loop position
+    /// `(total_iterations, converged_all, state)`.
+    fn save(
+        &self,
+        rank: usize,
+        key: CkptKey,
+        (total_iterations, converged_all, state): (usize, bool, LoopState),
+        tile: &Tile,
+    ) {
         self.saves.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.slots[rank].lock().expect("checkpoint lock");
         // A restarted attempt re-saves the same keys with identical bits
         // (the replay is deterministic); replace rather than duplicate.
-        ring.retain(|c| c.key != ck.key);
-        ring.push_back(ck);
-        while ring.len() > CHECKPOINT_KEEP {
-            ring.pop_front();
-        }
+        ring.retain(|c| c.key != key);
+        // Evict the oldest entry first and refill its buffers field by
+        // field, instead of cloning a new tile beside a full ring. (The
+        // derived `Tile::clone_from` would reallocate every field.)
+        let tile = if ring.len() >= CHECKPOINT_KEEP {
+            let mut old = ring
+                .pop_front()
+                .expect("a full ring has an oldest entry")
+                .tile;
+            old.geom.clone_from(&tile.geom);
+            for (dst, src) in tile_fields_mut(&mut old).into_iter().zip(tile_fields(tile)) {
+                dst.clone_from(src);
+            }
+            old
+        } else {
+            tile.clone()
+        };
+        ring.push_back(TileCheckpoint {
+            key,
+            total_iterations,
+            converged_all,
+            state,
+            tile,
+        });
     }
 
     /// Checkpoints written so far (re-saves of a replayed key included).

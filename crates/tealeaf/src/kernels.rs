@@ -147,14 +147,22 @@ pub trait TeaLeafPort {
 
     // --- conformance observation hooks ---
 
-    /// Cost-free read-back of one solver field in padded row-major
-    /// layout — the observation hook of the conformance harness
-    /// (`tea-conformance`). Unlike [`read_u`](TeaLeafPort::read_u) this
-    /// charges **nothing** to the simulated device, so a lock-step
-    /// differential run observes exactly the same cost stream as a plain
-    /// run. Returns `None` for fields the port does not store
-    /// separately (e.g. `Mi` aliases `Z` on the host ports).
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>>;
+    /// Cost-free borrow of one solver field in padded row-major layout —
+    /// the observation hook of the conformance harness
+    /// (`tea-conformance`) and the checkpoints. Unlike
+    /// [`read_u`](TeaLeafPort::read_u) this charges **nothing** to the
+    /// simulated device, so a lock-step differential run observes exactly
+    /// the same cost stream as a plain run. Returns `None` for fields the
+    /// port does not store, and by default.
+    fn field(&self, _id: FieldId) -> Option<&[f64]> {
+        None
+    }
+
+    /// Owned copy of [`field`](TeaLeafPort::field), for callers that keep
+    /// the values past the next kernel.
+    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
+        self.field(id).map(<[f64]>::to_vec)
+    }
 
     /// Cost-free debug mutation of one cell of a solver field (padded
     /// row-major flat index `k`). Exists so the conformance suite can

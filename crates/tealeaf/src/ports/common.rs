@@ -8,9 +8,28 @@
 //! between ports to ensure that each of the programming models were
 //! objectively compared" (§3).
 //!
-//! The `unsafe` functions write through [`parpool::UnsafeSlice`]; their
-//! safety contract is always the same: **each output index is written by
-//! exactly one concurrent caller** (ports dispatch disjoint rows/cells).
+//! # The cell-kernel contract
+//!
+//! The `cell_*` kernels (and [`apply_a`], [`diag_a`]) are `unsafe fn`s:
+//! they write through [`parpool::UnsafeSlice`] and read through one
+//! unchecked accessor, so that a per-cell lambda compiles to the same
+//! vectorised loop as a row kernel. Their callers guarantee:
+//!
+//! 1. **disjointness** — each output index is written by exactly one
+//!    concurrent caller (ports dispatch disjoint rows/cells);
+//! 2. **bounds, once per launch** — [`assert_fields`] has checked that
+//!    the mesh has a halo and that every field argument has exactly
+//!    `mesh.len()` elements;
+//! 3. **an interior iteration space** — `k` is an interior cell (the
+//!    flat guards, the row ranges, the RAJA interior list), or for
+//!    [`cell_init_coeffs`] a cell of the extended coefficient range.
+//!
+//! Together 2 and 3 prove every index a cell kernel touches, including
+//! the `k ± 1`, `k ± width` stencil neighbours. The `row_*` kernels check
+//! 2 and 3 for their own row on every call, so they leave only
+//! disjointness to the caller. [`cell_norm`], [`cell_summary`],
+//! [`row_norm`] and [`row_summary`] stay safe with checked reads: their
+//! index-ordered folds do not vectorise either way.
 
 use parpool::UnsafeSlice;
 use simdev::KernelProfile;
@@ -49,40 +68,140 @@ pub fn idx(width: usize, i: usize, j: usize) -> usize {
     j * width + i
 }
 
-/// Apply the 5-point operator `A` to `x` at flat index `k`.
+/// A mesh's interior as plain integers — what a `move` cell lambda
+/// captures to re-derive `(i, j)` from a flat index and guard on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interior {
+    len: usize,
+    width: usize,
+    lo: usize,
+    i1: usize,
+    j1: usize,
+}
+
+impl Interior {
+    /// The interior of `mesh`.
+    pub fn of(mesh: &Mesh2d) -> Self {
+        Interior {
+            len: mesh.len(),
+            width: mesh.width(),
+            lo: mesh.i0(),
+            i1: mesh.i1(),
+            j1: mesh.j1(),
+        }
+    }
+
+    /// Padded element count (`mesh.len()`).
+    #[inline(always)]
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True when flat index `k` is an interior cell.
+    #[inline(always)]
+    pub fn contains(self, k: usize) -> bool {
+        let (i, j) = (k % self.width, k / self.width);
+        i >= self.lo && i < self.i1 && j >= self.lo && j < self.j1
+    }
+}
+
+/// The per-launch half of the cell-kernel contract (see the module
+/// docs): the mesh has a halo, and every field a launch touches has
+/// exactly `mesh.len()` elements. Together with an iteration space that
+/// visits only interior cells, this proves every index the cell kernels
+/// read or write.
+///
+/// # Panics
+/// Panics if the mesh has no halo or any listed field has another
+/// length — before the launch reads anything.
+#[inline]
+pub fn assert_fields(mesh: &Mesh2d, reads: &[&[f64]], writes: &[&Us]) {
+    let len = mesh.len();
+    assert!(
+        mesh.halo_depth >= 1,
+        "cell kernels need a halo of at least one cell"
+    );
+    let lens = reads
+        .iter()
+        .map(|x| x.len())
+        .chain(writes.iter().map(|x| x.len()));
+    for (n, got) in lens.enumerate() {
+        assert!(
+            got == len,
+            "field {n} of the launch has {got} elements, the mesh has {len}"
+        );
+    }
+}
+
+/// Read `x[k]` without a bounds check — the one unchecked read of the
+/// cell kernels.
+///
+/// # Safety
+/// `k < x.len()`.
 #[inline(always)]
-pub fn apply_a(width: usize, k: usize, x: &[f64], kx: &[f64], ky: &[f64]) -> f64 {
-    physics::apply_stencil(
-        x[k],
-        x[k - 1],
-        x[k + 1],
-        x[k - width],
-        x[k + width],
-        kx[k],
-        kx[k + 1],
-        ky[k],
-        ky[k + width],
-    )
+unsafe fn at(x: &[f64], k: usize) -> f64 {
+    if cfg!(debug_assertions) {
+        // The debug check, as a plain index: unoptimised builds run it
+        // as fast as the unchecked path would be.
+        x[k]
+    } else {
+        // SAFETY: the caller proves `k < x.len()`.
+        unsafe { *x.get_unchecked(k) }
+    }
+}
+
+/// Apply the 5-point operator `A` to `x` at flat index `k`.
+///
+/// # Safety
+/// `k` is an interior cell of a mesh of row length `width` whose fields
+/// `x`, `kx` and `ky` satisfy [`assert_fields`].
+#[inline(always)]
+pub unsafe fn apply_a(width: usize, k: usize, x: &[f64], kx: &[f64], ky: &[f64]) -> f64 {
+    // SAFETY: an interior `k` of a mesh with a halo has all four
+    // neighbours inside fields of `mesh.len()` elements.
+    unsafe {
+        physics::apply_stencil(
+            at(x, k),
+            at(x, k - 1),
+            at(x, k + 1),
+            at(x, k - width),
+            at(x, k + width),
+            at(kx, k),
+            at(kx, k + 1),
+            at(ky, k),
+            at(ky, k + width),
+        )
+    }
 }
 
 /// Diagonal of `A` at flat index `k` (for the Jacobi preconditioner).
+///
+/// # Safety
+/// As [`apply_a`].
 #[inline(always)]
-pub fn diag_a(width: usize, k: usize, kx: &[f64], ky: &[f64]) -> f64 {
-    physics::diagonal(kx[k], kx[k + 1], ky[k], ky[k + width])
+pub unsafe fn diag_a(width: usize, k: usize, kx: &[f64], ky: &[f64]) -> f64 {
+    // SAFETY: as in `apply_a`.
+    unsafe { physics::diagonal(at(kx, k), at(kx, k + 1), at(ky, k), at(ky, k + width)) }
 }
 
 // ---------------------------------------------------------------------------
 // per-cell bodies (flat-index ports: Kokkos, CUDA, OpenCL, OpenACC collapse)
+//
+// Every `cell_*` function below is `unsafe` with the same contract (the
+// module docs): `k` is an interior cell, written by exactly one
+// concurrent caller, and every field argument satisfies `assert_fields`.
+// The SAFETY comments inside them cite that contract.
 // ---------------------------------------------------------------------------
 
 /// `u0[k] = density[k]·energy[k]; u[k] = u0[k]`.
 ///
 /// # Safety
-/// `k` must be written by exactly one concurrent caller and in bounds.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_init_u0(k: usize, density: &[f64], energy: &[f64], u0: &Us, u: &Us) {
-    let v = density[k] * energy[k];
+    // SAFETY: the cell-kernel contract.
     unsafe {
+        let v = at(density, k) * at(energy, k);
         u0.set(k, v);
         u.set(k, v);
     }
@@ -92,7 +211,9 @@ pub unsafe fn cell_init_u0(k: usize, density: &[f64], energy: &[f64], u0: &Us, u
 /// `ky[k] = ry·f(w[k-width],w[k])`.
 ///
 /// # Safety
-/// As [`cell_init_u0`]; additionally `k` must have west/south neighbours.
+/// The cell-kernel contract, except that `k` may be any cell of the
+/// extended range `i0..=i1 × j0..=j1` (it reads only its west and south
+/// neighbours).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn cell_init_coeffs(
@@ -105,10 +226,12 @@ pub unsafe fn cell_init_coeffs(
     kx: &Us,
     ky: &Us,
 ) {
-    let w_c = physics::cell_weight(coefficient, density[k]);
-    let w_w = physics::cell_weight(coefficient, density[k - 1]);
-    let w_s = physics::cell_weight(coefficient, density[k - width]);
+    // SAFETY: the cell-kernel contract; a halo of one cell keeps the
+    // extended range's west, south and own cells inside the fields.
     unsafe {
+        let w_c = physics::cell_weight(coefficient, at(density, k));
+        let w_w = physics::cell_weight(coefficient, at(density, k - 1));
+        let w_s = physics::cell_weight(coefficient, at(density, k - width));
         kx.set(k, rx * physics::face_coefficient(w_w, w_c));
         ky.set(k, ry * physics::face_coefficient(w_s, w_c));
     }
@@ -117,11 +240,12 @@ pub unsafe fn cell_init_coeffs(
 /// `p[k] = (z|r)[k] + β·p[k]`.
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_cg_calc_p(k: usize, beta: f64, precond: bool, r: &[f64], z: &[f64], p: &Us) {
-    let base = if precond { z[k] } else { r[k] };
+    // SAFETY: the cell-kernel contract.
     unsafe {
+        let base = if precond { at(z, k) } else { at(r, k) };
         let old = p.get(k);
         p.set(k, base + beta * old);
     }
@@ -131,7 +255,7 @@ pub unsafe fn cell_cg_calc_p(k: usize, beta: f64, precond: bool, r: &[f64], z: &
 /// `p = r/θ` (first step) or `p = α·p + β·r`.
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn cell_cheby_calc_p(
@@ -149,9 +273,10 @@ pub unsafe fn cell_cheby_calc_p(
     r: &Us,
     p: &Us,
 ) {
-    let au = apply_a(width, k, u, kx, ky);
-    let res = u0[k] - au;
+    // SAFETY: the cell-kernel contract.
     unsafe {
+        let au = apply_a(width, k, u, kx, ky);
+        let res = at(u0, k) - au;
         w.set(k, au);
         r.set(k, res);
         if first {
@@ -166,11 +291,12 @@ pub unsafe fn cell_cheby_calc_p(
 /// `u[k] += p[k]`.
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_add_p_to_u(k: usize, p: &[f64], u: &Us) {
+    // SAFETY: the cell-kernel contract.
     unsafe {
-        let v = u.get(k) + p[k];
+        let v = u.get(k) + at(p, k);
         u.set(k, v);
     }
 }
@@ -178,18 +304,20 @@ pub unsafe fn cell_add_p_to_u(k: usize, p: &[f64], u: &Us) {
 /// `sd[k] = r[k]/θ`.
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_sd_init(k: usize, theta: f64, r: &[f64], sd: &Us) {
-    unsafe { sd.set(k, r[k] / theta) };
+    // SAFETY: the cell-kernel contract.
+    unsafe { sd.set(k, at(r, k) / theta) };
 }
 
 /// `w[k] = A·sd` (PPCG inner stencil pass).
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_ppcg_w(width: usize, k: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
+    // SAFETY: the cell-kernel contract.
     unsafe { w.set(k, apply_a(width, k, sd, kx, ky)) };
 }
 
@@ -197,7 +325,7 @@ pub unsafe fn cell_ppcg_w(width: usize, k: usize, sd: &[f64], kx: &[f64], ky: &[
 /// `sd[k] = α·sd[k] + β·r[k]` (with the *new* `r`).
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_ppcg_update(
     k: usize,
@@ -208,8 +336,9 @@ pub unsafe fn cell_ppcg_update(
     r: &Us,
     sd: &Us,
 ) {
+    // SAFETY: the cell-kernel contract.
     unsafe {
-        let rn = r.get(k) - w[k];
+        let rn = r.get(k) - at(w, k);
         r.set(k, rn);
         let sv = sd.get(k);
         u.set(k, u.get(k) + sv);
@@ -221,7 +350,7 @@ pub unsafe fn cell_ppcg_update(
 /// returns the cell's `r·p` contribution.
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub unsafe fn cell_cg_init(
@@ -237,9 +366,10 @@ pub unsafe fn cell_cg_init(
     p: &Us,
     z: &Us,
 ) -> f64 {
-    let au = apply_a(width, k, u, kx, ky);
-    let res = u0[k] - au;
+    // SAFETY: the cell-kernel contract.
     unsafe {
+        let au = apply_a(width, k, u, kx, ky);
+        let res = at(u0, k) - au;
         w.set(k, au);
         r.set(k, res);
         let dir = if precond {
@@ -257,7 +387,7 @@ pub unsafe fn cell_cg_init(
 /// Fused CG `w = A·p` at one cell; returns the `p·w` contribution.
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_cg_calc_w(
     width: usize,
@@ -267,16 +397,19 @@ pub unsafe fn cell_cg_calc_w(
     ky: &[f64],
     w: &Us,
 ) -> f64 {
-    let ap = apply_a(width, k, p, kx, ky);
-    unsafe { w.set(k, ap) };
-    p[k] * ap
+    // SAFETY: the cell-kernel contract.
+    unsafe {
+        let ap = apply_a(width, k, p, kx, ky);
+        w.set(k, ap);
+        at(p, k) * ap
+    }
 }
 
 /// Fused CG update at one cell: `u += α·p`, `r −= α·w`, optionally
 /// `z = M⁻¹r`; returns the `r·r` (or `r·z`) contribution.
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub unsafe fn cell_cg_calc_ur(
@@ -292,9 +425,10 @@ pub unsafe fn cell_cg_calc_ur(
     r: &Us,
     z: &Us,
 ) -> f64 {
+    // SAFETY: the cell-kernel contract.
     unsafe {
-        u.set(k, u.get(k) + alpha * p[k]);
-        let rv = r.get(k) - alpha * w[k];
+        u.set(k, u.get(k) + alpha * at(p, k));
+        let rv = r.get(k) - alpha * at(w, k);
         r.set(k, rv);
         if precond {
             let zv = rv / diag_a(width, k, kx, ky);
@@ -306,11 +440,21 @@ pub unsafe fn cell_cg_calc_ur(
     }
 }
 
+/// Jacobi: save the previous `u` at `k` into `r` (scratch).
+///
+/// # Safety
+/// The cell-kernel contract (module docs).
+#[inline(always)]
+pub unsafe fn cell_jacobi_copy(k: usize, u: &[f64], r: &Us) {
+    // SAFETY: the cell-kernel contract.
+    unsafe { r.set(k, at(u, k)) };
+}
+
 /// One Jacobi-sweep cell; returns the `|Δu|` contribution. `r` holds the
 /// previous iterate.
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_jacobi_iterate(
     width: usize,
@@ -321,28 +465,33 @@ pub unsafe fn cell_jacobi_iterate(
     ky: &[f64],
     u: &Us,
 ) -> f64 {
-    let new = physics::jacobi_update(
-        u0[k],
-        r[k - 1],
-        r[k + 1],
-        r[k - width],
-        r[k + width],
-        kx[k],
-        kx[k + 1],
-        ky[k],
-        ky[k + width],
-    );
-    unsafe { u.set(k, new) };
-    (new - r[k]).abs()
+    // SAFETY: the cell-kernel contract.
+    unsafe {
+        let new = physics::jacobi_update(
+            at(u0, k),
+            at(r, k - 1),
+            at(r, k + 1),
+            at(r, k - width),
+            at(r, k + width),
+            at(kx, k),
+            at(kx, k + 1),
+            at(ky, k),
+            at(ky, k + width),
+        );
+        u.set(k, new);
+        (new - at(r, k)).abs()
+    }
 }
 
-/// `x[k]²` — the norm contribution of one cell.
+/// `x[k]²` — the norm contribution of one cell (checked read: the
+/// reductions fold in index order and do not vectorise either way).
 #[inline(always)]
 pub fn cell_norm(k: usize, x: &[f64]) -> f64 {
     x[k] * x[k]
 }
 
-/// One cell's `[volume, mass, internal energy, temperature]` contribution.
+/// One cell's `[volume, mass, internal energy, temperature]` contribution
+/// (checked reads, as [`cell_norm`]).
 #[inline(always)]
 pub fn cell_summary(
     k: usize,
@@ -362,7 +511,7 @@ pub fn cell_summary(
 /// `r[k] = u0[k] − A·u` (residual).
 ///
 /// # Safety
-/// As [`cell_init_u0`]; `k` must have all four neighbours.
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_residual(
     width: usize,
@@ -373,16 +522,18 @@ pub unsafe fn cell_residual(
     ky: &[f64],
     r: &Us,
 ) {
-    unsafe { r.set(k, u0[k] - apply_a(width, k, u, kx, ky)) };
+    // SAFETY: the cell-kernel contract.
+    unsafe { r.set(k, at(u0, k) - apply_a(width, k, u, kx, ky)) };
 }
 
 /// `energy[k] = u[k]/density[k]`.
 ///
 /// # Safety
-/// As [`cell_init_u0`].
+/// The cell-kernel contract (module docs).
 #[inline(always)]
 pub unsafe fn cell_finalise(k: usize, u: &[f64], density: &[f64], energy: &Us) {
-    unsafe { energy.set(k, u[k] / density[k]) };
+    // SAFETY: the cell-kernel contract.
+    unsafe { energy.set(k, at(u, k) / at(density, k)) };
 }
 
 // ---------------------------------------------------------------------------
@@ -393,6 +544,25 @@ pub unsafe fn cell_finalise(k: usize, u: &[f64], density: &[f64], energy: &Us) {
 #[inline(always)]
 pub fn row_bounds(mesh: &Mesh2d) -> (usize, usize, usize) {
     (mesh.i0(), mesh.i1(), mesh.width())
+}
+
+/// The bounds proof of one row kernel, checked on every call so that the
+/// caller's only obligation is disjointness: `j` is an interior row and
+/// the fields satisfy [`assert_fields`].
+#[inline]
+fn assert_row(mesh: &Mesh2d, j: usize, reads: &[&[f64]], writes: &[&Us]) {
+    assert!(
+        (mesh.i0()..mesh.j1()).contains(&j),
+        "row {j} is not an interior row"
+    );
+    assert_fields(mesh, reads, writes);
+}
+
+/// The interior cells of row `j` of `x` (checked slicing).
+#[inline(always)]
+fn row_slice<'a>(mesh: &Mesh2d, j: usize, x: &'a [f64]) -> &'a [f64] {
+    let (i0, i1, width) = row_bounds(mesh);
+    &x[idx(width, i0, j)..idx(width, i1, j)]
 }
 
 /// Row form of [`cell_init_u0`].
@@ -407,8 +577,10 @@ pub unsafe fn row_init_u0(
     u0: &Us,
     u: &Us,
 ) {
+    assert_row(mesh, j, &[density, energy], &[u0, u]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_init_u0(idx(width, i, j), density, energy, u0, u) };
     }
 }
@@ -429,8 +601,14 @@ pub unsafe fn row_init_coeffs(
     kx: &Us,
     ky: &Us,
 ) {
+    assert!(
+        (mesh.i0()..=mesh.j1()).contains(&j),
+        "row {j} is outside the coefficient range"
+    );
+    assert_fields(mesh, &[density], &[kx, ky]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..=i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe {
             cell_init_coeffs(
                 width,
@@ -465,9 +643,11 @@ pub unsafe fn row_cg_init(
     p: &Us,
     z: &Us,
 ) -> f64 {
+    assert_row(mesh, j, &[u, u0, kx, ky], &[w, r, p, z]);
     let (i0, i1, width) = row_bounds(mesh);
     let mut rro = 0.0;
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         rro += unsafe { cell_cg_init(width, idx(width, i, j), precond, u, u0, kx, ky, w, r, p, z) };
     }
     rro
@@ -485,9 +665,11 @@ pub unsafe fn row_cg_calc_w(
     ky: &[f64],
     w: &Us,
 ) -> f64 {
+    assert_row(mesh, j, &[p, kx, ky], &[w]);
     let (i0, i1, width) = row_bounds(mesh);
     let mut pw = 0.0;
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         pw += unsafe { cell_cg_calc_w(width, idx(width, i, j), p, kx, ky, w) };
     }
     pw
@@ -512,9 +694,11 @@ pub unsafe fn row_cg_calc_ur(
     r: &Us,
     z: &Us,
 ) -> f64 {
+    assert_row(mesh, j, &[p, w, kx, ky], &[u, r, z]);
     let (i0, i1, width) = row_bounds(mesh);
     let mut rrn = 0.0;
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         rrn += unsafe {
             cell_cg_calc_ur(
                 width,
@@ -547,8 +731,10 @@ pub unsafe fn row_cg_calc_p(
     z: &[f64],
     p: &Us,
 ) {
+    assert_row(mesh, j, &[r, z], &[p]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_cg_calc_p(idx(width, i, j), beta, precond, r, z, p) };
     }
 }
@@ -573,8 +759,10 @@ pub unsafe fn row_cheby_calc_p(
     r: &Us,
     p: &Us,
 ) {
+    assert_row(mesh, j, &[u, u0, kx, ky], &[w, r, p]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe {
             cell_cheby_calc_p(
                 width,
@@ -600,8 +788,10 @@ pub unsafe fn row_cheby_calc_p(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_add_p_to_u(mesh: &Mesh2d, j: usize, p: &[f64], u: &Us) {
+    assert_row(mesh, j, &[p], &[u]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_add_p_to_u(idx(width, i, j), p, u) };
     }
 }
@@ -611,8 +801,10 @@ pub unsafe fn row_add_p_to_u(mesh: &Mesh2d, j: usize, p: &[f64], u: &Us) {
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_sd_init(mesh: &Mesh2d, j: usize, theta: f64, r: &[f64], sd: &Us) {
+    assert_row(mesh, j, &[r], &[sd]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_sd_init(idx(width, i, j), theta, r, sd) };
     }
 }
@@ -622,8 +814,10 @@ pub unsafe fn row_sd_init(mesh: &Mesh2d, j: usize, theta: f64, r: &[f64], sd: &U
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_ppcg_w(mesh: &Mesh2d, j: usize, sd: &[f64], kx: &[f64], ky: &[f64], w: &Us) {
+    assert_row(mesh, j, &[sd, kx, ky], &[w]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_ppcg_w(width, idx(width, i, j), sd, kx, ky, w) };
     }
 }
@@ -643,8 +837,10 @@ pub unsafe fn row_ppcg_update(
     r: &Us,
     sd: &Us,
 ) {
+    assert_row(mesh, j, &[w], &[u, r, sd]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_ppcg_update(idx(width, i, j), alpha, beta, w, u, r, sd) };
     }
 }
@@ -662,8 +858,10 @@ pub unsafe fn row_residual(
     ky: &[f64],
     r: &Us,
 ) {
+    assert_row(mesh, j, &[u, u0, kx, ky], &[r]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_residual(width, idx(width, i, j), u, u0, kx, ky, r) };
     }
 }
@@ -673,9 +871,11 @@ pub unsafe fn row_residual(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_jacobi_copy(mesh: &Mesh2d, j: usize, u: &[f64], r: &Us) {
+    assert_row(mesh, j, &[u], &[r]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
-        unsafe { r.set(idx(width, i, j), u[idx(width, i, j)]) };
+        // SAFETY: the row check above proves the row; the caller owns it.
+        unsafe { cell_jacobi_copy(idx(width, i, j), u, r) };
     }
 }
 
@@ -693,22 +893,20 @@ pub unsafe fn row_jacobi_iterate(
     ky: &[f64],
     u: &Us,
 ) -> f64 {
+    assert_row(mesh, j, &[u0, r, kx, ky], &[u]);
     let (i0, i1, width) = row_bounds(mesh);
     let mut err = 0.0;
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         err += unsafe { cell_jacobi_iterate(width, idx(width, i, j), u0, r, kx, ky, u) };
     }
     err
 }
 
-/// Row `Σ x²` partial.
+/// Row `Σ x²` partial, summed left to right like [`cell_norm`] over the
+/// row (the row is sliced once, so the loop carries no bounds check).
 pub fn row_norm(mesh: &Mesh2d, j: usize, x: &[f64]) -> f64 {
-    let (i0, i1, width) = row_bounds(mesh);
-    let mut n = 0.0;
-    for i in i0..i1 {
-        n += cell_norm(idx(width, i, j), x);
-    }
-    n
+    row_slice(mesh, j, x).iter().fold(0.0, |n, v| n + v * v)
 }
 
 /// Row partial of the 4-component field summary
@@ -721,10 +919,14 @@ pub fn row_summary(
     u: &[f64],
     cell_vol: f64,
 ) -> [f64; 4] {
-    let (i0, i1, width) = row_bounds(mesh);
+    let (density, energy, u) = (
+        row_slice(mesh, j, density),
+        row_slice(mesh, j, energy),
+        row_slice(mesh, j, u),
+    );
     let mut acc = [0.0; 4];
-    for i in i0..i1 {
-        let c = cell_summary(idx(width, i, j), density, energy, u, cell_vol);
+    for k in 0..density.len() {
+        let c = cell_summary(k, density, energy, u, cell_vol);
         for q in 0..4 {
             acc[q] += c[q];
         }
@@ -737,8 +939,10 @@ pub fn row_summary(
 /// # Safety
 /// As [`row_init_u0`].
 pub unsafe fn row_finalise(mesh: &Mesh2d, j: usize, u: &[f64], density: &[f64], energy: &Us) {
+    assert_row(mesh, j, &[u, density], &[energy]);
     let (i0, i1, width) = row_bounds(mesh);
     for i in i0..i1 {
+        // SAFETY: the row check above proves the row; the caller owns it.
         unsafe { cell_finalise(idx(width, i, j), u, density, energy) };
     }
 }
@@ -1088,7 +1292,8 @@ mod tests {
             ky[k],
             ky[k + width],
         );
-        assert_eq!(apply_a(width, k, &u, &kx, &ky), direct);
+        // SAFETY: (4, 4) is interior and every field has `m.len()` elements.
+        assert_eq!(unsafe { apply_a(width, k, &u, &kx, &ky) }, direct);
     }
 
     #[test]
@@ -1100,7 +1305,8 @@ mod tests {
         let kx = seq(&m, 0.05);
         let ky = seq(&m, 0.07);
         for (i, j) in m.interior().collect::<Vec<_>>() {
-            let v = apply_a(width, idx(width, i, j), &u, &kx, &ky);
+            // SAFETY: interior cell; every field has `m.len()` elements.
+            let v = unsafe { apply_a(width, idx(width, i, j), &u, &kx, &ky) };
             assert!((v - 3.25).abs() < 1e-12);
         }
     }
@@ -1135,7 +1341,8 @@ mod tests {
         for j in m.i0()..m.j1() {
             for i in m.i0()..m.i1() {
                 let k = idx(width, i, j);
-                let res = u0[k] - apply_a(width, k, &u, &kx, &ky);
+                // SAFETY: interior cell; every field has `m.len()` elements.
+                let res = u0[k] - unsafe { apply_a(width, k, &u, &kx, &ky) };
                 assert_eq!(r[k], res);
                 assert_eq!(p[k], res);
                 expect += res * res;
@@ -1155,7 +1362,8 @@ mod tests {
         let mut u0 = vec![0.0; m.len()];
         for (i, j) in m.interior().collect::<Vec<_>>() {
             let k = idx(width, i, j);
-            u0[k] = apply_a(width, k, &u, &kx, &ky);
+            // SAFETY: interior cell; every field has `m.len()` elements.
+            u0[k] = unsafe { apply_a(width, k, &u, &kx, &ky) };
         }
         let r = u.clone(); // "old" iterate
         let mut u_new = u.clone();
@@ -1168,6 +1376,30 @@ mod tests {
             e
         };
         assert!(err < 1e-10, "err={err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_row_kernel_handed_a_short_field_panics_before_reading() {
+        let m = mesh();
+        let p = seq(&m, 0.2);
+        let kx = seq(&m, 0.01);
+        let ky = vec![1.0; m.len() - 1];
+        let mut w = vec![0.0; m.len()];
+        let wv = Us::new(&mut w);
+        // SAFETY: one caller owns the row.
+        let _ = unsafe { row_cg_calc_w(&m, m.i0(), &p, &kx, &ky, &wv) };
+    }
+
+    #[test]
+    #[should_panic(expected = "not an interior row")]
+    fn a_row_kernel_handed_a_halo_row_panics_before_reading() {
+        let m = mesh();
+        let u = seq(&m, 0.2);
+        let mut r = vec![0.0; m.len()];
+        let rv = Us::new(&mut r);
+        // SAFETY: one caller owns the row.
+        unsafe { row_jacobi_copy(&m, m.j1(), &u, &rv) };
     }
 
     #[test]

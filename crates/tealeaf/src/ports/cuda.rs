@@ -20,7 +20,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Interior, Us};
 use crate::problem::Problem;
 
 /// Threads per block, as a typical K20X-tuned TeaLeaf port would pick.
@@ -45,13 +45,11 @@ pub struct CudaPort {
 
 /// In-kernel guard: overspill check plus interior test.
 #[inline(always)]
-fn guard(mesh: &Mesh2d, tid: usize) -> bool {
-    if tid >= mesh.len() {
+fn guard(cells: Interior, tid: usize) -> bool {
+    if tid >= cells.len() {
         return false; // grid overspill
     }
-    let width = mesh.width();
-    let (i, j) = (tid % width, tid / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
+    cells.contains(tid)
 }
 
 impl CudaPort {
@@ -175,6 +173,7 @@ impl TeaLeafPort for CudaPort {
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let n = self.n();
         let pool = self.pool();
@@ -183,9 +182,10 @@ impl TeaLeafPort for CudaPort {
             let (density, energy) = (self.density.device(), self.energy.device());
             let u0 = Us::new(self.u0.device_mut());
             let u = Us::new(self.u.device_mut());
-            launch(&stream, cfg, &profiles::init_u0(n), &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[density, energy], &[&u0, &u]);
+            launch(&stream, cfg, &profiles::init_u0(n), &move |tid| {
+                if guard(cells, tid) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_init_u0(tid, density, energy, &u0, &u) };
                 }
             });
@@ -197,13 +197,14 @@ impl TeaLeafPort for CudaPort {
         let density = self.density.device();
         let kx = Us::new(self.kx.device_mut());
         let ky = Us::new(self.ky.device_mut());
-        launch(&stream, cfg, &profiles::init_coeffs(n), &|tid| {
+        common::assert_fields(mesh, &[density], &[&kx, &ky]);
+        launch(&stream, cfg, &profiles::init_coeffs(n), &move |tid| {
             if tid >= len {
                 return;
             }
             let (i, j) = (tid % width, tid / width);
             if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                // SAFETY: cells disjoint.
+                // SAFETY: coefficient-range cell, one writer; fields checked above.
                 unsafe {
                     common::cell_init_coeffs(width, tid, coefficient, rx, ry, density, &kx, &ky)
                 };
@@ -240,11 +241,12 @@ impl TeaLeafPort for CudaPort {
         let r = Us::new(self.r.device_mut());
         let p = Us::new(self.p.device_mut());
         let z = Us::new(self.z.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p, &z]);
+        launch_reduce(&stream, cfg, &profile, &move |block| {
             let j = i0 + block;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_cg_init(
                         width,
@@ -274,11 +276,12 @@ impl TeaLeafPort for CudaPort {
         let (i0, i1) = (mesh.i0(), mesh.i1());
         let (p, kx, ky) = (self.p.device(), self.kx.device(), self.ky.device());
         let w = Us::new(self.w.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
+        common::assert_fields(mesh, &[p, kx, ky], &[&w]);
+        launch_reduce(&stream, cfg, &profile, &move |block| {
             let j = i0 + block;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_cg_calc_w(width, common::idx(width, i, j), p, kx, ky, &w)
                 };
@@ -303,11 +306,12 @@ impl TeaLeafPort for CudaPort {
         let u = Us::new(self.u.device_mut());
         let r = Us::new(self.r.device_mut());
         let z = Us::new(self.z.device_mut());
-        launch_reduce(&stream, cfg, &profile, &|block| {
+        common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+        launch_reduce(&stream, cfg, &profile, &move |block| {
             let j = i0 + block;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_cg_calc_ur(
                         width,
@@ -330,14 +334,16 @@ impl TeaLeafPort for CudaPort {
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let profile = profiles::cg_calc_p(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
         let (r, z) = (self.r.device(), self.z.device());
         let p = Us::new(self.p.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_cg_calc_p(tid, beta, preconditioner, r, z, &p) };
             }
         });
@@ -375,11 +381,12 @@ impl TeaLeafPort for CudaPort {
             let u = Us::new(self.u.device_mut());
             let r = Us::new(self.r.device_mut());
             let z = Us::new(self.z.device_mut());
-            pool.run_sum(cfg.grid, &|block| {
+            common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+            pool.run_sum(cfg.grid, &move |block| {
                 let j = i0 + block;
                 let mut acc = 0.0;
                 for i in i0..i1 {
-                    // SAFETY: blocks own disjoint rows.
+                    // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                     acc += unsafe {
                         common::cell_cg_calc_ur(
                             width,
@@ -402,10 +409,11 @@ impl TeaLeafPort for CudaPort {
         let beta = rrn / rro;
         let (r, z) = (self.r.device(), self.z.device());
         let p = Us::new(self.p.device_mut());
-        pool.run(cfg.grid, &|block| {
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        parpool::run_each(pool, cfg.grid, &move |block| {
             let j = i0 + block;
             for i in i0..i1 {
-                // SAFETY: cells disjoint.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 unsafe {
                     common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
                 };
@@ -424,14 +432,16 @@ impl TeaLeafPort for CudaPort {
 
     fn ppcg_init_sd(&mut self, theta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let profile = profiles::ppcg_init_sd(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
         let r = self.r.device();
         let sd = Us::new(self.sd.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r], &[&sd]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_sd_init(tid, theta, r, &sd) };
             }
         });
@@ -439,6 +449,7 @@ impl TeaLeafPort for CudaPort {
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let width = mesh.width();
         let pool = self.pool();
@@ -455,9 +466,10 @@ impl TeaLeafPort for CudaPort {
             let stream = CudaStream::new(&self.ctx, pool);
             let (sd, kx, ky) = (self.sd.device(), self.kx.device(), self.ky.device());
             let w = Us::new(self.w.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[sd, kx, ky], &[&w]);
+            launch(&stream, cfg, &profile, &move |tid| {
+                if guard(cells, tid) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_ppcg_w(width, tid, sd, kx, ky, &w) };
                 }
             });
@@ -468,9 +480,10 @@ impl TeaLeafPort for CudaPort {
         let u = Us::new(self.u.device_mut());
         let r = Us::new(self.r.device_mut());
         let sd = Us::new(self.sd.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[w], &[&u, &r, &sd]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_ppcg_update(tid, alpha, beta, w, &u, &r, &sd) };
             }
         });
@@ -478,6 +491,7 @@ impl TeaLeafPort for CudaPort {
 
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let width = mesh.width();
         let pool = self.pool();
@@ -486,10 +500,11 @@ impl TeaLeafPort for CudaPort {
             let stream = CudaStream::new(&self.ctx, pool);
             let u = self.u.device();
             let r = Us::new(self.r.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(tid, u[tid]) };
+            common::assert_fields(mesh, &[u], &[&r]);
+            launch(&stream, cfg, &profile, &move |tid| {
+                if guard(cells, tid) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
+                    unsafe { common::cell_jacobi_copy(tid, u, &r) };
                 }
             });
         }
@@ -504,11 +519,12 @@ impl TeaLeafPort for CudaPort {
             self.ky.device(),
         );
         let u = Us::new(self.u.device_mut());
-        launch_reduce(&stream, rcfg, &profile, &|block| {
+        common::assert_fields(mesh, &[u0, r, kx, ky], &[&u]);
+        launch_reduce(&stream, rcfg, &profile, &move |block| {
             let j = i0 + block;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: blocks own disjoint rows.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_jacobi_iterate(width, common::idx(width, i, j), u0, r, kx, ky, &u)
                 };
@@ -519,6 +535,7 @@ impl TeaLeafPort for CudaPort {
 
     fn residual(&mut self) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let width = mesh.width();
         let profile = profiles::residual(self.n());
@@ -530,9 +547,10 @@ impl TeaLeafPort for CudaPort {
             self.ky.device(),
         );
         let r = Us::new(self.r.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&r]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_residual(width, tid, u, u0, kx, ky, &r) };
             }
         });
@@ -549,7 +567,7 @@ impl TeaLeafPort for CudaPort {
             NormField::U0 => self.u0.device(),
             NormField::R => self.r.device(),
         };
-        launch_reduce(&stream, cfg, &profile, &|block| {
+        launch_reduce(&stream, cfg, &profile, &move |block| {
             let j = i0 + block;
             let mut acc = 0.0;
             for i in i0..i1 {
@@ -561,14 +579,16 @@ impl TeaLeafPort for CudaPort {
 
     fn finalise(&mut self) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let profile = profiles::finalise(self.n());
         let stream = CudaStream::new(&self.ctx, parpool::global_static());
         let (u, density) = (self.u.device(), self.density.device());
         let energy = Us::new(self.energy.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, density], &[&energy]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_finalise(tid, u, density, &energy) };
             }
         });
@@ -589,7 +609,7 @@ impl TeaLeafPort for CudaPort {
         let vol = mesh.cell_volume();
         let (density, energy, u) = (self.density.device(), self.energy.device(), self.u.device());
         self.ctx.launch(&profile);
-        let acc = pool.run_sum4(cfg.grid, &|block| {
+        let acc = pool.run_sum4(cfg.grid, &move |block| {
             let j = i0 + block;
             let mut row = [0.0; 4];
             for i in i0..i1 {
@@ -614,8 +634,8 @@ impl TeaLeafPort for CudaPort {
         out
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.buf_for(id).device().to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.buf_for(id).device())
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
@@ -660,6 +680,7 @@ impl CudaPort {
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let cfg = self.cfg();
         let width = mesh.width();
         let pool = self.pool();
@@ -682,9 +703,10 @@ impl CudaPort {
             let w = Us::new(self.w.device_mut());
             let r = Us::new(self.r.device_mut());
             let p = Us::new(self.p.device_mut());
-            launch(&stream, cfg, &profile, &|tid| {
-                if guard(mesh, tid) {
-                    // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p]);
+            launch(&stream, cfg, &profile, &move |tid| {
+                if guard(cells, tid) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe {
                         common::cell_cheby_calc_p(
                             width, tid, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
@@ -697,11 +719,30 @@ impl CudaPort {
         let stream = CudaStream::new(&self.ctx, pool);
         let p = self.p.device();
         let u = Us::new(self.u.device_mut());
-        launch(&stream, cfg, &profile, &|tid| {
-            if guard(mesh, tid) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[p], &[&u]);
+        launch(&stream, cfg, &profile, &move |tid| {
+            if guard(cells, tid) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_add_p_to_u(tid, p, &u) };
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simdev::devices;
+    use tea_core::config::TeaConfig;
+
+    /// A launch handed a field shorter than `mesh.len()` stops at the
+    /// per-launch `assert_fields` before any unchecked read.
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_short_field_panics_at_the_launch_assert() {
+        let problem = Problem::from_config(&TeaConfig::paper_problem(8)).expect("valid config");
+        let mut port = CudaPort::new(devices::gpu_k20x(), &problem, 1);
+        port.kx = DeviceBuffer::alloc(problem.mesh.len() - 1);
+        port.residual();
     }
 }

@@ -25,7 +25,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Interior, Us};
 use crate::problem::Problem;
 
 /// Kokkos TeaLeaf (flat or hierarchical-parallelism).
@@ -47,23 +47,15 @@ pub struct KokkosPort {
     sd: View,
 }
 
-/// True when flat index `k` is an interior cell — the loop-body halo
-/// guard of the flat port.
-#[inline(always)]
-fn in_interior(mesh: &Mesh2d, k: usize) -> bool {
-    let width = mesh.width();
-    let (i, j) = (k % width, k / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
-}
-
 /// Dispatch a non-reduction grid kernel: flat range plus body guard
-/// (`hp == false`) or a league of row teams (`hp == true`).
+/// (`hp == false`) or a league of row teams (`hp == true`). Either way
+/// `f` only ever sees interior cells.
 fn grid_for(
     hp: bool,
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync),
 ) {
     if hp {
         let (i0, i1) = (mesh.i0(), mesh.i1());
@@ -75,14 +67,15 @@ fn grid_for(
                 league_size: mesh.y_cells,
                 team_size: 8,
             },
-            &|member| {
+            &move |member| {
                 let j = i0 + member.league_rank;
                 member.team_thread_range(cols, |ii| f(common::idx(width, i0 + ii, j)));
             },
         );
     } else {
-        space.parallel_for(profile, RangePolicy::new(0, mesh.len()), &|k| {
-            if in_interior(mesh, k) {
+        let cells = Interior::of(mesh);
+        space.parallel_for(profile, RangePolicy::new(0, mesh.len()), &move |k| {
+            if cells.contains(k) {
                 f(k);
             }
         });
@@ -90,13 +83,14 @@ fn grid_for(
 }
 
 /// Dispatch a fused reduction kernel: per-row partials in row order for
-/// both variants, so results match every other port bit-for-bit.
+/// both variants, so results match every other port bit-for-bit. `f`
+/// only ever sees interior cells.
 fn grid_reduce(
     hp: bool,
     mesh: &Mesh2d,
     space: &ExecutionSpace<'_>,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) -> f64 + Sync),
+    f: &(impl Fn(usize) -> f64 + Sync),
 ) -> f64 {
     let (i0, i1) = (mesh.i0(), mesh.i1());
     let width = mesh.width();
@@ -108,13 +102,13 @@ fn grid_reduce(
                 league_size: mesh.y_cells,
                 team_size: 8,
             },
-            &|member| {
+            &move |member| {
                 let j = i0 + member.league_rank;
                 member.team_thread_reduce(cols, |ii| f(common::idx(width, i0 + ii, j)))
             },
         )
     } else {
-        space.parallel_reduce(profile, RangePolicy::new(0, mesh.y_cells), &|jj| {
+        space.parallel_reduce(profile, RangePolicy::new(0, mesh.y_cells), &move |jj| {
             let j = i0 + jj;
             let mut acc = 0.0;
             for ii in 0..cols {
@@ -132,8 +126,9 @@ fn grid_reduce(
 /// the flat port is charged for. The other kernels use the succinct
 /// lambda style the paper could not (CUDA 7.0); keeping one functor
 /// exhibits the verbosity difference the paper discusses.
+/// Its fields pass `common::assert_fields` before every dispatch.
 struct InitU0Functor<'a> {
-    mesh: &'a Mesh2d,
+    cells: Interior,
     density: &'a [f64],
     energy: &'a [f64],
     u0: Us<'a>,
@@ -142,8 +137,8 @@ struct InitU0Functor<'a> {
 
 impl Functor for InitU0Functor<'_> {
     fn operator(&self, k: usize) {
-        if in_interior(self.mesh, k) {
-            // SAFETY: cells disjoint.
+        if self.cells.contains(k) {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_init_u0(k, self.density, self.energy, &self.u0, &self.u) };
         }
     }
@@ -286,15 +281,16 @@ impl TeaLeafPort for KokkosPort {
             let (density, energy) = (self.density.raw(), self.energy.raw());
             let u0 = Us::new(self.u0.raw_mut());
             let u = Us::new(self.u.raw_mut());
+            common::assert_fields(mesh, &[density, energy], &[&u0, &u]);
             if hp {
-                grid_for(hp, mesh, &space, &p_u0, &|k| {
-                    // SAFETY: cells disjoint.
+                grid_for(hp, mesh, &space, &p_u0, &move |k| {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
                 });
             } else {
                 // functor style over the flat padded range, guard inside
                 let functor = InitU0Functor {
-                    mesh,
+                    cells: Interior::of(mesh),
                     density,
                     energy,
                     u0,
@@ -312,10 +308,11 @@ impl TeaLeafPort for KokkosPort {
         let density = self.density.raw();
         let kx = Us::new(self.kx.raw_mut());
         let ky = Us::new(self.ky.raw_mut());
-        space.parallel_for(&p_k, RangePolicy::new(0, mesh.len()), &|k| {
+        common::assert_fields(mesh, &[density], &[&kx, &ky]);
+        space.parallel_for(&p_k, RangePolicy::new(0, mesh.len()), &move |k| {
             let (i, j) = (k % width, k / width);
             if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                // SAFETY: cells disjoint.
+                // SAFETY: coefficient-range cell, one writer; fields checked above.
                 unsafe {
                     common::cell_init_coeffs(width, k, coefficient, rx, ry, density, &kx, &ky)
                 };
@@ -347,8 +344,9 @@ impl TeaLeafPort for KokkosPort {
         let r = Us::new(self.r.raw_mut());
         let p = Us::new(self.p.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p, &z]);
+        grid_reduce(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_cg_init(width, k, preconditioner, u, u0, kx, ky, &w, &r, &p, &z) }
         })
     }
@@ -361,8 +359,9 @@ impl TeaLeafPort for KokkosPort {
         let width = mesh.width();
         let (p, kx, ky) = (self.p.raw(), self.kx.raw(), self.ky.raw());
         let w = Us::new(self.w.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[p, kx, ky], &[&w]);
+        grid_reduce(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_cg_calc_w(width, k, p, kx, ky, &w) }
         })
     }
@@ -377,8 +376,9 @@ impl TeaLeafPort for KokkosPort {
         let u = Us::new(self.u.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let z = Us::new(self.z.raw_mut());
-        grid_reduce(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+        grid_reduce(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe {
                 common::cell_cg_calc_ur(width, k, alpha, preconditioner, p, w, kx, ky, &u, &r, &z)
             }
@@ -392,8 +392,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let (r, z) = (self.r.raw(), self.z.raw());
         let p = Us::new(self.p.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        grid_for(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
         });
     }
@@ -427,11 +428,12 @@ impl TeaLeafPort for KokkosPort {
             let u = Us::new(self.u.raw_mut());
             let r = Us::new(self.r.raw_mut());
             let z = Us::new(self.z.raw_mut());
-            pool.run_sum(mesh.y_cells, &|jj| {
+            common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+            pool.run_sum(mesh.y_cells, &move |jj| {
                 let j = i0 + jj;
                 let mut acc = 0.0;
                 for i in i0..i1 {
-                    // SAFETY: cells disjoint.
+                    // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                     acc += unsafe {
                         common::cell_cg_calc_ur(
                             width,
@@ -454,10 +456,11 @@ impl TeaLeafPort for KokkosPort {
         let beta = rrn / rro;
         let (r, z) = (self.r.raw(), self.z.raw());
         let p = Us::new(self.p.raw_mut());
-        pool.run(mesh.y_cells, &|jj| {
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        parpool::run_each(pool, mesh.y_cells, &move |jj| {
             let j = i0 + jj;
             for i in i0..i1 {
-                // SAFETY: cells disjoint.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 unsafe {
                     common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
                 };
@@ -481,8 +484,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let r = self.r.raw();
         let sd = Us::new(self.sd.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r], &[&sd]);
+        grid_for(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_sd_init(k, theta, r, &sd) };
         });
     }
@@ -504,8 +508,9 @@ impl TeaLeafPort for KokkosPort {
             let space = ExecutionSpace::new(&self.ctx, pool);
             let (sd, kx, ky) = (self.sd.raw(), self.kx.raw(), self.ky.raw());
             let w = Us::new(self.w.raw_mut());
-            grid_for(hp, mesh, &space, &p_w, &|k| {
-                // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[sd, kx, ky], &[&w]);
+            grid_for(hp, mesh, &space, &p_w, &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
             });
         }
@@ -514,8 +519,9 @@ impl TeaLeafPort for KokkosPort {
         let u = Us::new(self.u.raw_mut());
         let r = Us::new(self.r.raw_mut());
         let sd = Us::new(self.sd.raw_mut());
-        grid_for(hp, mesh, &space, &p_up, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[w], &[&u, &r, &sd]);
+        grid_for(hp, mesh, &space, &p_up, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
         });
     }
@@ -531,16 +537,18 @@ impl TeaLeafPort for KokkosPort {
             let space = ExecutionSpace::new(&self.ctx, pool);
             let u = self.u.raw();
             let r = Us::new(self.r.raw_mut());
-            grid_for(hp, mesh, &space, &p_copy, &|k| {
-                // SAFETY: cells disjoint.
-                unsafe { r.set(k, u[k]) };
+            common::assert_fields(mesh, &[u], &[&r]);
+            grid_for(hp, mesh, &space, &p_copy, &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
+                unsafe { common::cell_jacobi_copy(k, u, &r) };
             });
         }
         let space = ExecutionSpace::new(&self.ctx, pool);
         let (u0, r, kx, ky) = (self.u0.raw(), self.r.raw(), self.kx.raw(), self.ky.raw());
         let u = Us::new(self.u.raw_mut());
-        grid_reduce(hp, mesh, &space, &p_it, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u0, r, kx, ky], &[&u]);
+        grid_reduce(hp, mesh, &space, &p_it, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_jacobi_iterate(width, k, u0, r, kx, ky, &u) }
         })
     }
@@ -553,8 +561,9 @@ impl TeaLeafPort for KokkosPort {
         let width = mesh.width();
         let (u, u0, kx, ky) = (self.u.raw(), self.u0.raw(), self.kx.raw(), self.ky.raw());
         let r = Us::new(self.r.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&r]);
+        grid_for(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
         });
     }
@@ -568,7 +577,9 @@ impl TeaLeafPort for KokkosPort {
             NormField::U0 => self.u0.raw(),
             NormField::R => self.r.raw(),
         };
-        grid_reduce(hp, mesh, &space, &profile, &|k| common::cell_norm(k, x))
+        grid_reduce(hp, mesh, &space, &profile, &move |k| {
+            common::cell_norm(k, x)
+        })
     }
 
     fn finalise(&mut self) {
@@ -578,8 +589,9 @@ impl TeaLeafPort for KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, self.pool());
         let (u, density) = (self.u.raw(), self.density.raw());
         let energy = Us::new(self.energy.raw_mut());
-        grid_for(hp, mesh, &space, &profile, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, density], &[&energy]);
+        grid_for(hp, mesh, &space, &profile, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_finalise(k, u, density, &energy) };
         });
     }
@@ -601,7 +613,7 @@ impl TeaLeafPort for KokkosPort {
             &profile,
             RangePolicy::new(0, mesh.y_cells),
             &kokkos_rs::reducer::ArraySumReducer::<4>,
-            &|jj| {
+            &move |jj| {
                 let j = i0 + jj;
                 let mut row = [0.0; 4];
                 for ii in 0..cols {
@@ -633,8 +645,8 @@ impl TeaLeafPort for KokkosPort {
         h.raw().to_vec()
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.view_for(id).raw().to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.view_for(id).raw())
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
@@ -696,8 +708,9 @@ impl KokkosPort {
             let w = Us::new(self.w.raw_mut());
             let r = Us::new(self.r.raw_mut());
             let p = Us::new(self.p.raw_mut());
-            grid_for(hp, mesh, &space, &p_p, &|k| {
-                // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p]);
+            grid_for(hp, mesh, &space, &p_p, &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe {
                     common::cell_cheby_calc_p(
                         width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
@@ -708,9 +721,44 @@ impl KokkosPort {
         let space = ExecutionSpace::new(&self.ctx, pool);
         let p = self.p.raw();
         let u = Us::new(self.u.raw_mut());
-        grid_for(hp, mesh, &space, &p_u, &|k| {
-            // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[p], &[&u]);
+        grid_for(hp, mesh, &space, &p_u, &move |k| {
+            // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
             unsafe { common::cell_add_p_to_u(k, p, &u) };
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simdev::devices;
+    use tea_core::config::TeaConfig;
+
+    /// A launch handed a field shorter than `mesh.len()` stops at the
+    /// per-launch `assert_fields` before any unchecked read.
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_short_field_panics_at_the_launch_assert() {
+        let problem = Problem::from_config(&TeaConfig::paper_problem(8)).expect("valid config");
+        let mut port =
+            KokkosPort::new(ModelId::Kokkos, devices::cpu_xeon_e5_2670_x2(), &problem, 1);
+        port.kx = View::device("kx", problem.mesh.len() - 1, 1);
+        port.cg_calc_w();
+    }
+
+    /// As above, through the HP variant's team dispatch.
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_short_field_panics_at_the_launch_assert_hp() {
+        let problem = Problem::from_config(&TeaConfig::paper_problem(8)).expect("valid config");
+        let mut port = KokkosPort::new(
+            ModelId::KokkosHP,
+            devices::cpu_xeon_e5_2670_x2(),
+            &problem,
+            1,
+        );
+        port.w = View::device("w", problem.mesh.len() - 1, 1);
+        port.ppcg_inner(0.5, 0.25);
     }
 }

@@ -387,8 +387,8 @@ impl TeaLeafPort for Omp3Port {
         self.f.u.clone()
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.f.field(id).to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.f.field(id))
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {

@@ -23,7 +23,7 @@ use tea_core::summary::Summary;
 
 use crate::kernels::{NormField, TeaLeafPort};
 use crate::model_id::ModelId;
-use crate::ports::common::{self, profiles, Us};
+use crate::ports::common::{self, profiles, Interior, Us};
 use crate::problem::Problem;
 
 /// Work-group size for the flat launches.
@@ -213,13 +213,11 @@ impl OpenClPort {
 
 /// True when flat index `k` is interior — the in-kernel guard.
 #[inline(always)]
-fn guard(mesh: &Mesh2d, k: usize) -> bool {
-    if k >= mesh.len() {
+fn guard(cells: Interior, k: usize) -> bool {
+    if k >= cells.len() {
         return false; // NDRange overspill
     }
-    let width = mesh.width();
-    let (i, j) = (k % width, k / width);
-    i >= mesh.i0() && i < mesh.i1() && j >= mesh.i0() && j < mesh.j1()
+    cells.contains(k)
 }
 
 impl TeaLeafPort for OpenClPort {
@@ -237,6 +235,7 @@ impl TeaLeafPort for OpenClPort {
 
     fn init_fields(&mut self, coefficient: Coefficient, rx: f64, ry: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let n = self.n();
@@ -245,12 +244,18 @@ impl TeaLeafPort for OpenClPort {
             let (density, energy) = (self.density.arg_view(), self.energy.arg_view());
             let u0 = Us::new(self.u0.arg_view_mut());
             let u = Us::new(self.u.arg_view_mut());
-            queue.enqueue_nd_range(&self.kernels.init_u0, &profiles::init_u0(n), range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
-                }
-            });
+            common::assert_fields(mesh, &[density, energy], &[&u0, &u]);
+            queue.enqueue_nd_range(
+                &self.kernels.init_u0,
+                &profiles::init_u0(n),
+                range,
+                &move |k| {
+                    if guard(cells, k) {
+                        // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
+                        unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
+                    }
+                },
+            );
         }
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
         let width = mesh.width();
@@ -259,17 +264,18 @@ impl TeaLeafPort for OpenClPort {
         let density = self.density.arg_view();
         let kx = Us::new(self.kx.arg_view_mut());
         let ky = Us::new(self.ky.arg_view_mut());
+        common::assert_fields(mesh, &[density], &[&kx, &ky]);
         queue.enqueue_nd_range(
             &self.kernels.init_coeffs,
             &profiles::init_coeffs(n),
             range,
-            &|k| {
+            &move |k| {
                 if k >= len {
                     return;
                 }
                 let (i, j) = (k % width, k / width);
                 if i >= lo && i <= i1 && j >= lo && j <= j1 {
-                    // SAFETY: cells disjoint.
+                    // SAFETY: coefficient-range cell, one writer; fields checked above.
                     unsafe {
                         common::cell_init_coeffs(width, k, coefficient, rx, ry, density, &kx, &ky)
                     };
@@ -309,12 +315,13 @@ impl TeaLeafPort for OpenClPort {
         let p = Us::new(self.p.arg_view_mut());
         let z = Us::new(self.z.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p, &z]);
         let (value, _e) =
-            queue.enqueue_reduce(&self.kernels.cg_init, &profile, mesh.y_cells, &|jj| {
+            queue.enqueue_reduce(&self.kernels.cg_init, &profile, mesh.y_cells, &move |jj| {
                 let j = i0 + jj;
                 let mut acc = 0.0;
                 for i in i0..i1 {
-                    // SAFETY: rows disjoint.
+                    // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                     acc += unsafe {
                         common::cell_cg_init(
                             width,
@@ -346,11 +353,12 @@ impl TeaLeafPort for OpenClPort {
         let w = Us::new(self.w.arg_view_mut());
         let kernel = &self.kernels.cg_calc_w;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| {
+        common::assert_fields(mesh, &[p, kx, ky], &[&w]);
+        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &move |jj| {
             let j = i0 + jj;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: rows disjoint.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_cg_calc_w(width, common::idx(width, i, j), p, kx, ky, &w)
                 };
@@ -377,11 +385,12 @@ impl TeaLeafPort for OpenClPort {
         let z = Us::new(self.z.arg_view_mut());
         let kernel = &self.kernels.cg_calc_ur;
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &|jj| {
+        common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+        let (value, _e) = queue.enqueue_reduce(kernel, &profile, mesh.y_cells, &move |jj| {
             let j = i0 + jj;
             let mut acc = 0.0;
             for i in i0..i1 {
-                // SAFETY: rows disjoint.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 acc += unsafe {
                     common::cell_cg_calc_ur(
                         width,
@@ -405,15 +414,17 @@ impl TeaLeafPort for OpenClPort {
 
     fn cg_calc_p(&mut self, beta: f64, preconditioner: bool) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let profile = profiles::cg_calc_p(self.n());
         let (r, z) = (self.r.arg_view(), self.z.arg_view());
         let p = Us::new(self.p.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.cg_calc_p, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        queue.enqueue_nd_range(&self.kernels.cg_calc_p, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
             }
         });
@@ -451,11 +462,12 @@ impl TeaLeafPort for OpenClPort {
             let u = Us::new(self.u.arg_view_mut());
             let r = Us::new(self.r.arg_view_mut());
             let z = Us::new(self.z.arg_view_mut());
-            exec.run_sum(mesh.y_cells, &|jj| {
+            common::assert_fields(mesh, &[p, w, kx, ky], &[&u, &r, &z]);
+            exec.run_sum(mesh.y_cells, &move |jj| {
                 let j = i0 + jj;
                 let mut acc = 0.0;
                 for i in i0..i1 {
-                    // SAFETY: rows disjoint.
+                    // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                     acc += unsafe {
                         common::cell_cg_calc_ur(
                             width,
@@ -478,10 +490,11 @@ impl TeaLeafPort for OpenClPort {
         let beta = rrn / rro;
         let (r, z) = (self.r.arg_view(), self.z.arg_view());
         let p = Us::new(self.p.arg_view_mut());
-        exec.run(mesh.y_cells, &|jj| {
+        common::assert_fields(mesh, &[r, z], &[&p]);
+        parpool::run_each(exec, mesh.y_cells, &move |jj| {
             let j = i0 + jj;
             for i in i0..i1 {
-                // SAFETY: cells disjoint.
+                // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                 unsafe {
                     common::cell_cg_calc_p(common::idx(width, i, j), beta, preconditioner, r, z, &p)
                 };
@@ -500,15 +513,17 @@ impl TeaLeafPort for OpenClPort {
 
     fn ppcg_init_sd(&mut self, theta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let profile = profiles::ppcg_init_sd(self.n());
         let r = self.r.arg_view();
         let sd = Us::new(self.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.ppcg_init_sd, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[r], &[&sd]);
+        queue.enqueue_nd_range(&self.kernels.ppcg_init_sd, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_sd_init(k, theta, r, &sd) };
             }
         });
@@ -516,6 +531,7 @@ impl TeaLeafPort for OpenClPort {
 
     fn ppcg_inner(&mut self, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let width = mesh.width();
@@ -532,9 +548,10 @@ impl TeaLeafPort for OpenClPort {
             let (sd, kx, ky) = (self.sd.arg_view(), self.kx.arg_view(), self.ky.arg_view());
             let w = Us::new(self.w.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.ppcg_calc_w, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[sd, kx, ky], &[&w]);
+            queue.enqueue_nd_range(&self.kernels.ppcg_calc_w, &profile, range, &move |k| {
+                if guard(cells, k) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
                 }
             });
@@ -545,9 +562,10 @@ impl TeaLeafPort for OpenClPort {
         let r = Us::new(self.r.arg_view_mut());
         let sd = Us::new(self.sd.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.ppcg_update, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[w], &[&u, &r, &sd]);
+        queue.enqueue_nd_range(&self.kernels.ppcg_update, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
             }
         });
@@ -555,6 +573,7 @@ impl TeaLeafPort for OpenClPort {
 
     fn jacobi_iterate(&mut self) -> f64 {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let width = mesh.width();
@@ -563,10 +582,11 @@ impl TeaLeafPort for OpenClPort {
             let u = self.u.arg_view();
             let r = Us::new(self.r.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.jacobi_copy, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(k, u[k]) };
+            common::assert_fields(mesh, &[u], &[&r]);
+            queue.enqueue_nd_range(&self.kernels.jacobi_copy, &profile, range, &move |k| {
+                if guard(cells, k) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
+                    unsafe { common::cell_jacobi_copy(k, u, &r) };
                 }
             });
         }
@@ -580,12 +600,16 @@ impl TeaLeafPort for OpenClPort {
         );
         let u = Us::new(self.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) =
-            queue.enqueue_reduce(&self.kernels.jacobi_solve, &profile, mesh.y_cells, &|jj| {
+        common::assert_fields(mesh, &[u0, r, kx, ky], &[&u]);
+        let (value, _e) = queue.enqueue_reduce(
+            &self.kernels.jacobi_solve,
+            &profile,
+            mesh.y_cells,
+            &move |jj| {
                 let j = i0 + jj;
                 let mut acc = 0.0;
                 for i in i0..i1 {
-                    // SAFETY: rows disjoint.
+                    // SAFETY: interior row, one writer; `assert_fields` checked the fields.
                     acc += unsafe {
                         common::cell_jacobi_iterate(
                             width,
@@ -599,12 +623,14 @@ impl TeaLeafPort for OpenClPort {
                     };
                 }
                 acc
-            });
+            },
+        );
         value
     }
 
     fn residual(&mut self) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let width = mesh.width();
@@ -617,9 +643,10 @@ impl TeaLeafPort for OpenClPort {
         );
         let r = Us::new(self.r.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.residual, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&r]);
+        queue.enqueue_nd_range(&self.kernels.residual, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
             }
         });
@@ -636,28 +663,31 @@ impl TeaLeafPort for OpenClPort {
             NormField::R => self.r.arg_view(),
         };
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        let (value, _e) = queue.enqueue_reduce(&self.kernels.norm, &profile, mesh.y_cells, &|jj| {
-            let j = i0 + jj;
-            let mut acc = 0.0;
-            for i in i0..i1 {
-                acc += common::cell_norm(common::idx(width, i, j), x);
-            }
-            acc
-        });
+        let (value, _e) =
+            queue.enqueue_reduce(&self.kernels.norm, &profile, mesh.y_cells, &move |jj| {
+                let j = i0 + jj;
+                let mut acc = 0.0;
+                for i in i0..i1 {
+                    acc += common::cell_norm(common::idx(width, i, j), x);
+                }
+                acc
+            });
         value
     }
 
     fn finalise(&mut self) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let profile = profiles::finalise(self.n());
         let (u, density) = (self.u.arg_view(), self.density.arg_view());
         let energy = Us::new(self.energy.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.finalise, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[u, density], &[&energy]);
+        queue.enqueue_nd_range(&self.kernels.finalise, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_finalise(k, u, density, &energy) };
             }
         });
@@ -683,7 +713,7 @@ impl TeaLeafPort for OpenClPort {
         for (comp, slot) in acc.iter_mut().enumerate() {
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
             let (value, _e) =
-                queue.enqueue_reduce(&self.kernels.summary, &profile, mesh.y_cells, &|jj| {
+                queue.enqueue_reduce(&self.kernels.summary, &profile, mesh.y_cells, &move |jj| {
                     let j = i0 + jj;
                     let mut row = 0.0;
                     for i in i0..i1 {
@@ -711,8 +741,8 @@ impl TeaLeafPort for OpenClPort {
         out
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.buf_for(id).arg_view().to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.buf_for(id).arg_view())
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
@@ -766,6 +796,7 @@ impl OpenClPort {
 
     fn cheby_step(&mut self, first: bool, theta: f64, alpha: f64, beta: f64) {
         let mesh = &self.mesh;
+        let cells = Interior::of(mesh);
         let exec = self.exec_static_or_steal();
         let range = self.nd_range();
         let width = mesh.width();
@@ -788,9 +819,10 @@ impl OpenClPort {
             let r = Us::new(self.r.arg_view_mut());
             let p = Us::new(self.p.arg_view_mut());
             let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-            queue.enqueue_nd_range(&self.kernels.cheby_calc_p, &profile, range, &|k| {
-                if guard(mesh, k) {
-                    // SAFETY: cells disjoint.
+            common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p]);
+            queue.enqueue_nd_range(&self.kernels.cheby_calc_p, &profile, range, &move |k| {
+                if guard(cells, k) {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe {
                         common::cell_cheby_calc_p(
                             width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
@@ -803,11 +835,30 @@ impl OpenClPort {
         let p = self.p.arg_view();
         let u = Us::new(self.u.arg_view_mut());
         let queue = CommandQueue::new(&self.cl_context, &self.ctx, exec);
-        queue.enqueue_nd_range(&self.kernels.cheby_calc_u, &profile, range, &|k| {
-            if guard(mesh, k) {
-                // SAFETY: cells disjoint.
+        common::assert_fields(mesh, &[p], &[&u]);
+        queue.enqueue_nd_range(&self.kernels.cheby_calc_u, &profile, range, &move |k| {
+            if guard(cells, k) {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_add_p_to_u(k, p, &u) };
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simdev::devices;
+    use tea_core::config::TeaConfig;
+
+    /// A launch handed a field shorter than `mesh.len()` stops at the
+    /// per-launch `assert_fields` before any unchecked read.
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_short_field_panics_at_the_launch_assert() {
+        let problem = Problem::from_config(&TeaConfig::paper_problem(8)).expect("valid config");
+        let mut port = OpenClPort::new(devices::cpu_xeon_e5_2670_x2(), &problem, 1);
+        port.kx = Buffer::new(&port.cl_context, problem.mesh.len() - 1);
+        port.residual();
     }
 }

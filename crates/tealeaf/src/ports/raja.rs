@@ -56,11 +56,17 @@ impl RajaPort {
         let ctx = common::make_context(model, device, problem, seed);
         let f = PortFields::new(&problem.mesh, &problem.density, &problem.energy);
         let mesh = &problem.mesh;
-        let interior = Segment::List(ListSegment::interior_2d(
-            mesh.width(),
-            mesh.height(),
-            mesh.halo_depth,
-        ));
+        let list = ListSegment::interior_2d(mesh.width(), mesh.height(), mesh.halo_depth);
+        // Validated once here: the list holds exactly the interior cells,
+        // the bounds proof every list-segment lambda below relies on.
+        let width = mesh.width();
+        let cells = (mesh.i0()..mesh.j1())
+            .flat_map(|j| (mesh.i0()..mesh.i1()).map(move |i| common::idx(width, i, j)));
+        assert!(
+            list.indices().iter().copied().eq(cells),
+            "the RAJA interior list must hold exactly the interior cells"
+        );
+        let interior = Segment::List(list);
         let row_range = Segment::Range(RangeSegment::new(0, mesh.y_cells));
         RajaPort {
             model,
@@ -94,7 +100,8 @@ impl RajaPort {
 
 /// Run a per-cell kernel in the port's flavour: `forall` over the
 /// interior list (base) or a row-range custom dispatch with an inner simd
-/// loop (SIMD variant).
+/// loop (SIMD variant). Either way `f` sees each interior cell once: the
+/// list was validated in [`RajaPort::new`], and `rows` is `0..y_cells`.
 fn dispatch_cells(
     port_simd: bool,
     rt: &RajaRuntime<'_>,
@@ -102,11 +109,11 @@ fn dispatch_cells(
     rows: &Segment,
     mesh: &tea_core::mesh::Mesh2d,
     profile: &KernelProfile,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(impl Fn(usize) + Sync),
 ) {
     if port_simd {
         let (i0, i1, width) = (mesh.i0(), mesh.i1(), mesh.width());
-        forall::<raja_rs::SimdExec>(rt, rows, profile, &|jj| {
+        forall::<raja_rs::SimdExec>(rt, rows, profile, &move |jj| {
             let j = i0 + jj;
             for i in i0..i1 {
                 f(common::idx(width, i, j));
@@ -139,8 +146,9 @@ impl TeaLeafPort for RajaPort {
         let pool = self.pool();
         {
             let rt = RajaRuntime::new(&self.ctx, pool);
-            let (density, energy) = (&self.f.density, &self.f.energy);
+            let (density, energy) = (&self.f.density[..], &self.f.energy[..]);
             let (u0, u) = (Us::new(&mut self.f.u0), Us::new(&mut self.f.u));
+            common::assert_fields(mesh, &[density, energy], &[&u0, &u]);
             dispatch_cells(
                 simd,
                 &rt,
@@ -148,8 +156,8 @@ impl TeaLeafPort for RajaPort {
                 &self.row_range,
                 mesh,
                 &p_u0,
-                &|k| {
-                    // SAFETY: cells disjoint.
+                &move |k| {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_init_u0(k, density, energy, &u0, &u) };
                 },
             );
@@ -158,10 +166,10 @@ impl TeaLeafPort for RajaPort {
         // (multiple indexing, as §3.4 describes).
         let rt = RajaRuntime::new(&self.ctx, pool);
         let rows_inclusive = Segment::Range(RangeSegment::new(0, mesh.y_cells + 1));
-        let density = &self.f.density;
+        let density = &self.f.density[..];
         let (kx, ky) = (Us::new(&mut self.f.kx), Us::new(&mut self.f.ky));
-        forall::<OmpParallelForExec>(&rt, &rows_inclusive, &p_k, &|jj| {
-            // SAFETY: rows disjoint.
+        forall::<OmpParallelForExec>(&rt, &rows_inclusive, &p_k, &move |jj| {
+            // SAFETY: each row is one item; the row kernel checks its bounds.
             unsafe {
                 common::row_init_coeffs(mesh, j0 + jj, coefficient, rx, ry, density, &kx, &ky)
             };
@@ -183,15 +191,20 @@ impl TeaLeafPort for RajaPort {
         let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_init(self.n(), preconditioner));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
+        let (u, u0, kx, ky) = (
+            &self.f.u[..],
+            &self.f.u0[..],
+            &self.f.kx[..],
+            &self.f.ky[..],
+        );
         let (w, r, p, z) = (
             Us::new(&mut self.f.w),
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.p),
             Us::new(&mut self.f.z),
         );
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &move |jj| {
+            // SAFETY: each row is one item; the row kernel checks its bounds.
             unsafe {
                 common::row_cg_init(mesh, j0 + jj, preconditioner, u, u0, kx, ky, &w, &r, &p, &z)
             }
@@ -203,10 +216,10 @@ impl TeaLeafPort for RajaPort {
         let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_calc_w(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (p, kx, ky) = (&self.f.p, &self.f.kx, &self.f.ky);
+        let (p, kx, ky) = (&self.f.p[..], &self.f.kx[..], &self.f.ky[..]);
         let w = Us::new(&mut self.f.w);
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &move |jj| {
+            // SAFETY: each row is one item; the row kernel checks its bounds.
             unsafe { common::row_cg_calc_w(mesh, j0 + jj, p, kx, ky, &w) }
         })
     }
@@ -216,14 +229,14 @@ impl TeaLeafPort for RajaPort {
         let j0 = mesh.i0();
         let profile = self.row_profile(profiles::cg_calc_ur(self.n(), preconditioner));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (p, w, kx, ky) = (&self.f.p, &self.f.w, &self.f.kx, &self.f.ky);
+        let (p, w, kx, ky) = (&self.f.p[..], &self.f.w[..], &self.f.kx[..], &self.f.ky[..]);
         let (u, r, z) = (
             Us::new(&mut self.f.u),
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.z),
         );
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &move |jj| {
+            // SAFETY: each row is one item; the row kernel checks its bounds.
             unsafe {
                 common::row_cg_calc_ur(
                     mesh,
@@ -247,8 +260,9 @@ impl TeaLeafPort for RajaPort {
         let simd = self.simd;
         let profile = self.row_profile(profiles::cg_calc_p(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (r, z) = (&self.f.r, &self.f.z);
+        let (r, z) = (&self.f.r[..], &self.f.z[..]);
         let p = Us::new(&mut self.f.p);
+        common::assert_fields(mesh, &[r, z], &[&p]);
         dispatch_cells(
             simd,
             &rt,
@@ -256,8 +270,8 @@ impl TeaLeafPort for RajaPort {
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_cg_calc_p(k, beta, preconditioner, r, z, &p) };
             },
         );
@@ -276,8 +290,9 @@ impl TeaLeafPort for RajaPort {
         let simd = self.simd;
         let profile = self.row_profile(profiles::ppcg_init_sd(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let r = &self.f.r;
+        let r = &self.f.r[..];
         let sd = Us::new(&mut self.f.sd);
+        common::assert_fields(mesh, &[r], &[&sd]);
         dispatch_cells(
             simd,
             &rt,
@@ -285,8 +300,8 @@ impl TeaLeafPort for RajaPort {
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_sd_init(k, theta, r, &sd) };
             },
         );
@@ -307,8 +322,9 @@ impl TeaLeafPort for RajaPort {
         let pool = self.pool();
         {
             let rt = RajaRuntime::new(&self.ctx, pool);
-            let (sd, kx, ky) = (&self.f.sd, &self.f.kx, &self.f.ky);
+            let (sd, kx, ky) = (&self.f.sd[..], &self.f.kx[..], &self.f.ky[..]);
             let w = Us::new(&mut self.f.w);
+            common::assert_fields(mesh, &[sd, kx, ky], &[&w]);
             dispatch_cells(
                 simd,
                 &rt,
@@ -316,19 +332,20 @@ impl TeaLeafPort for RajaPort {
                 &self.row_range,
                 mesh,
                 &p_w,
-                &|k| {
-                    // SAFETY: cells disjoint.
+                &move |k| {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe { common::cell_ppcg_w(width, k, sd, kx, ky, &w) };
                 },
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
-        let w = &self.f.w;
+        let w = &self.f.w[..];
         let (u, r, sd) = (
             Us::new(&mut self.f.u),
             Us::new(&mut self.f.r),
             Us::new(&mut self.f.sd),
         );
+        common::assert_fields(mesh, &[w], &[&u, &r, &sd]);
         dispatch_cells(
             simd,
             &rt,
@@ -336,8 +353,8 @@ impl TeaLeafPort for RajaPort {
             &self.row_range,
             mesh,
             &p_up,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_ppcg_update(k, alpha, beta, w, &u, &r, &sd) };
             },
         );
@@ -352,8 +369,9 @@ impl TeaLeafPort for RajaPort {
         let pool = self.pool();
         {
             let rt = RajaRuntime::new(&self.ctx, pool);
-            let u = &self.f.u;
+            let u = &self.f.u[..];
             let r = Us::new(&mut self.f.r);
+            common::assert_fields(mesh, &[u], &[&r]);
             dispatch_cells(
                 simd,
                 &rt,
@@ -361,17 +379,22 @@ impl TeaLeafPort for RajaPort {
                 &self.row_range,
                 mesh,
                 &p_copy,
-                &|k| {
-                    // SAFETY: cells disjoint.
-                    unsafe { r.set(k, u[k]) };
+                &move |k| {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
+                    unsafe { common::cell_jacobi_copy(k, u, &r) };
                 },
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
-        let (u0, r, kx, ky) = (&self.f.u0, &self.f.r, &self.f.kx, &self.f.ky);
+        let (u0, r, kx, ky) = (
+            &self.f.u0[..],
+            &self.f.r[..],
+            &self.f.kx[..],
+            &self.f.ky[..],
+        );
         let u = Us::new(&mut self.f.u);
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &p_it, &|jj| {
-            // SAFETY: rows disjoint.
+        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &p_it, &move |jj| {
+            // SAFETY: each row is one item; the row kernel checks its bounds.
             unsafe { common::row_jacobi_iterate(mesh, j0 + jj, u0, r, kx, ky, &u) }
         })
     }
@@ -382,8 +405,14 @@ impl TeaLeafPort for RajaPort {
         let width = mesh.width();
         let profile = self.row_profile(profiles::residual(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
+        let (u, u0, kx, ky) = (
+            &self.f.u[..],
+            &self.f.u0[..],
+            &self.f.kx[..],
+            &self.f.ky[..],
+        );
         let r = Us::new(&mut self.f.r);
+        common::assert_fields(mesh, &[u, u0, kx, ky], &[&r]);
         dispatch_cells(
             simd,
             &rt,
@@ -391,8 +420,8 @@ impl TeaLeafPort for RajaPort {
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_residual(width, k, u, u0, kx, ky, &r) };
             },
         );
@@ -404,10 +433,10 @@ impl TeaLeafPort for RajaPort {
         let profile = self.row_profile(profiles::norm(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let x = match field {
-            NormField::U0 => &self.f.u0,
-            NormField::R => &self.f.r,
+            NormField::U0 => &self.f.u0[..],
+            NormField::R => &self.f.r[..],
         };
-        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &|jj| {
+        forall_sum::<OmpParallelForExec>(&rt, &self.row_range, &profile, &move |jj| {
             common::row_norm(mesh, j0 + jj, x)
         })
     }
@@ -417,8 +446,9 @@ impl TeaLeafPort for RajaPort {
         let simd = self.simd;
         let profile = self.row_profile(profiles::finalise(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
-        let (u, density) = (&self.f.u, &self.f.density);
+        let (u, density) = (&self.f.u[..], &self.f.density[..]);
         let energy = Us::new(&mut self.f.energy);
+        common::assert_fields(mesh, &[u, density], &[&energy]);
         dispatch_cells(
             simd,
             &rt,
@@ -426,8 +456,8 @@ impl TeaLeafPort for RajaPort {
             &self.row_range,
             mesh,
             &profile,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_finalise(k, u, density, &energy) };
             },
         );
@@ -439,12 +469,12 @@ impl TeaLeafPort for RajaPort {
         let profile = self.row_profile(profiles::field_summary(self.n()));
         let rt = RajaRuntime::new(&self.ctx, self.pool());
         let vol = mesh.cell_volume();
-        let (density, energy, u) = (&self.f.density, &self.f.energy, &self.f.u);
+        let (density, energy, u) = (&self.f.density[..], &self.f.energy[..], &self.f.u[..]);
         let acc = raja_rs::forall::forall_sum_many::<OmpParallelForExec, 4>(
             &rt,
             &self.row_range,
             &profile,
-            &|jj| common::row_summary(mesh, j0 + jj, density, energy, u, vol),
+            &move |jj| common::row_summary(mesh, j0 + jj, density, energy, u, vol),
         );
         Summary {
             volume: acc[0],
@@ -459,8 +489,8 @@ impl TeaLeafPort for RajaPort {
         self.f.u.clone()
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.f.field(id).to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.f.field(id))
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {
@@ -484,12 +514,18 @@ impl RajaPort {
         let pool = self.pool();
         {
             let rt = RajaRuntime::new(&self.ctx, pool);
-            let (u, u0, kx, ky) = (&self.f.u, &self.f.u0, &self.f.kx, &self.f.ky);
+            let (u, u0, kx, ky) = (
+                &self.f.u[..],
+                &self.f.u0[..],
+                &self.f.kx[..],
+                &self.f.ky[..],
+            );
             let (w, r, p) = (
                 Us::new(&mut self.f.w),
                 Us::new(&mut self.f.r),
                 Us::new(&mut self.f.p),
             );
+            common::assert_fields(mesh, &[u, u0, kx, ky], &[&w, &r, &p]);
             dispatch_cells(
                 simd,
                 &rt,
@@ -497,8 +533,8 @@ impl RajaPort {
                 &self.row_range,
                 mesh,
                 &p_p,
-                &|k| {
-                    // SAFETY: cells disjoint.
+                &move |k| {
+                    // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                     unsafe {
                         common::cell_cheby_calc_p(
                             width, k, first, theta, alpha, beta, u, u0, kx, ky, &w, &r, &p,
@@ -508,8 +544,9 @@ impl RajaPort {
             );
         }
         let rt = RajaRuntime::new(&self.ctx, pool);
-        let p = &self.f.p;
+        let p = &self.f.p[..];
         let u = Us::new(&mut self.f.u);
+        common::assert_fields(mesh, &[p], &[&u]);
         dispatch_cells(
             simd,
             &rt,
@@ -517,10 +554,28 @@ impl RajaPort {
             &self.row_range,
             mesh,
             &p_u,
-            &|k| {
-                // SAFETY: cells disjoint.
+            &move |k| {
+                // SAFETY: interior cell, one writer; `assert_fields` checked the fields.
                 unsafe { common::cell_add_p_to_u(k, p, &u) };
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simdev::devices;
+    use tea_core::config::TeaConfig;
+
+    /// A launch handed a field shorter than `mesh.len()` stops at the
+    /// per-launch `assert_fields` before any unchecked read.
+    #[test]
+    #[should_panic(expected = "elements, the mesh has")]
+    fn a_short_field_panics_at_the_launch_assert() {
+        let problem = Problem::from_config(&TeaConfig::paper_problem(8)).expect("valid config");
+        let mut port = RajaPort::new(ModelId::Raja, devices::cpu_xeon_e5_2670_x2(), &problem, 1);
+        port.f.kx.pop();
+        port.residual();
     }
 }

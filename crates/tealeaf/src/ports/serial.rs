@@ -296,8 +296,8 @@ impl TeaLeafPort for SerialPort {
         self.f.u.clone()
     }
 
-    fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
-        Some(self.f.field(id).to_vec())
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        Some(self.f.field(id))
     }
 
     fn poke_field(&mut self, id: FieldId, k: usize, value: f64) {

@@ -247,6 +247,10 @@ impl TeaLeafPort for RecordingPort {
         u
     }
 
+    fn field(&self, id: FieldId) -> Option<&[f64]> {
+        self.inner.field(id)
+    }
+
     fn inspect_field(&self, id: FieldId) -> Option<Vec<f64>> {
         self.inner.inspect_field(id)
     }

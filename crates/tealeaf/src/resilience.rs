@@ -262,12 +262,36 @@ pub struct FieldCheckpoint {
 impl FieldCheckpoint {
     /// Snapshot every inspectable field in `ids`.
     pub fn capture(port: &dyn TeaLeafPort, ids: &[FieldId]) -> Self {
-        FieldCheckpoint {
-            fields: ids
-                .iter()
-                .filter_map(|&id| port.inspect_field(id).map(|data| (id, data)))
-                .collect(),
+        let mut ck = FieldCheckpoint { fields: Vec::new() };
+        ck.recapture(port, ids);
+        ck
+    }
+
+    /// Take the snapshot again into this checkpoint's own buffers: a
+    /// field of unchanged size is overwritten in place, with no
+    /// allocation. Borrows through [`TeaLeafPort::field`] and falls back
+    /// to the owned [`TeaLeafPort::inspect_field`] copy.
+    pub fn recapture(&mut self, port: &dyn TeaLeafPort, ids: &[FieldId]) {
+        let mut kept = 0;
+        for &id in ids {
+            if kept == self.fields.len() {
+                self.fields.push((id, Vec::new()));
+            }
+            let (slot, data) = &mut self.fields[kept];
+            let captured = match port.field(id) {
+                Some(src) => {
+                    data.clear();
+                    data.extend_from_slice(src);
+                    true
+                }
+                None => port.inspect_field(id).map(|v| *data = v).is_some(),
+            };
+            if captured {
+                *slot = id;
+                kept += 1;
+            }
         }
+        self.fields.truncate(kept);
     }
 
     /// Write every captured cell back, restoring the exact bits.
@@ -360,12 +384,21 @@ impl PhaseGuard {
         if self.checkpoint_interval == 0 || !iteration.is_multiple_of(self.checkpoint_interval) {
             return;
         }
+        // Rewrite the one checkpoint's buffers in place rather than
+        // building a second snapshot beside it.
+        let fields = match self.checkpoint.take() {
+            Some(PhaseCheckpoint { mut fields, .. }) => {
+                fields.recapture(port, &SOLVE_FIELDS);
+                fields
+            }
+            None => FieldCheckpoint::capture(port, &SOLVE_FIELDS),
+        };
         self.checkpoint = Some(PhaseCheckpoint {
             iteration,
             rro,
             history_len,
             sentinel: self.sentinel.clone(),
-            fields: FieldCheckpoint::capture(port, &SOLVE_FIELDS),
+            fields,
         });
         let ctx = port.context();
         ctx.telemetry().event(

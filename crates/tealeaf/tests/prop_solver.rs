@@ -44,11 +44,13 @@ fn x_ax(mesh: &Mesh2d, x: &[f64], kx: &[f64], ky: &[f64]) -> f64 {
     let mut x = x.to_vec();
     update_halo(mesh, &mut x, 1);
     let width = mesh.width();
+    common::assert_fields(mesh, &[&x, kx, ky], &[]);
     let mut acc = 0.0;
     for j in mesh.i0()..mesh.j1() {
         for i in mesh.i0()..mesh.i1() {
             let k = common::idx(width, i, j);
-            acc += x[k] * common::apply_a(width, k, &x, kx, ky);
+            // SAFETY: `k` is interior and `assert_fields` checked the fields.
+            acc += x[k] * unsafe { common::apply_a(width, k, &x, kx, ky) };
         }
     }
     acc

@@ -88,6 +88,10 @@ fn run_kernel(
         kx,
         ky,
     } = m;
+    // The bounds proof the cell kernels' unchecked reads rely on: every
+    // field has `mesh.len()` elements, and `for_cells` yields interior
+    // cells only.
+    common::assert_fields(mesh, &[u0, u, p, r, w, z, sd, kx, ky], &[]);
     for &span in spans {
         let mut idxs = Vec::new();
         for_cells(mesh, span, |k| idxs.push(k));
