@@ -23,7 +23,7 @@ use tea_conformance::{
 use tea_core::config::{SolverKind, TeaConfig};
 use tea_core::halo::FieldId;
 use tealeaf::ports::{common, make_port};
-use tealeaf::{driver, ModelId, Problem, RunReport, SolverHealth};
+use tealeaf::{driver, ModelId, Problem, RecoveryAction, RunReport, SolverHealth};
 
 /// Drive `model` through the full timestep loop on `cfg`, no sabotage.
 fn drive_clean(cfg: &TeaConfig, model: ModelId) -> RunReport {
@@ -232,4 +232,124 @@ fn jacobi_sentinel_catches_planted_nan_and_retry_restores_clean_bits() {
         report.summary, clean.summary,
         "retry bits differ from clean"
     );
+}
+
+/// Every solve field, as the fault sweep plants into them.
+const SWEEP_FIELDS: [FieldId; 9] = [
+    FieldId::U,
+    FieldId::U0,
+    FieldId::P,
+    FieldId::R,
+    FieldId::W,
+    FieldId::Z,
+    FieldId::Sd,
+    FieldId::Kx,
+    FieldId::Ky,
+];
+
+/// The deck of the fault sweep: 24², one step, a checkpoint every 5
+/// iterations so a fault at invocation 7 rolls back to iteration 5.
+fn sweep_config(solver: SolverKind) -> TeaConfig {
+    let mut cfg = cg_config(24);
+    cfg.solver = solver;
+    cfg.tl_checkpoint_interval = 5;
+    cfg
+}
+
+/// A NaN in any solve field at an interior cell, a depth-1 halo cell or
+/// a depth-2 halo cell, planted mid-solve under every solver, ends in
+/// the clean run's answer: converged, with bit-equal iterations and
+/// summary. A fault the residual never sees (a NaN in `u` once nothing
+/// reads `u` again) must be caught by the end-of-attempt scan of `u`,
+/// not returned as a converged NaN answer.
+#[test]
+fn fault_sweep_every_field_ring_and_solver_recovers_the_clean_answer() {
+    let mut rows = 0;
+    let mut failures = Vec::new();
+    for solver in [
+        SolverKind::ConjugateGradient,
+        SolverKind::Chebyshev,
+        SolverKind::Ppcg,
+        SolverKind::Jacobi,
+    ] {
+        let cfg = sweep_config(solver);
+        let clean = drive_clean(&cfg, ModelId::Serial);
+        assert!(clean.converged, "{solver}: the clean run must converge");
+        let mesh = cfg.mesh();
+        let (w, i0) = (mesh.width(), mesh.i0());
+        let cells = [
+            ("interior", common::idx(w, i0 + 2, i0 + 3)),
+            ("halo1", common::idx(w, i0 - 1, i0 + 3)),
+            ("halo2", common::idx(w, i0 - 2, i0 + 3)),
+        ];
+        let kernel = if solver == SolverKind::Jacobi {
+            "jacobi_iterate"
+        } else {
+            "cg_calc_w"
+        };
+        for field in SWEEP_FIELDS {
+            for (ring, index) in cells {
+                let plan = SabotagePlan {
+                    kernel,
+                    invocation: 7,
+                    field,
+                    index,
+                    mode: SabotageMode::PlantNan,
+                };
+                let (report, fired) = drive_sabotaged(&cfg, ModelId::Serial, plan);
+                rows += 1;
+                assert!(fired, "{solver} {field:?} {ring}: {kernel} #7 never ran");
+                if !report.converged
+                    || report.total_iterations != clean.total_iterations
+                    || report.summary != clean.summary
+                {
+                    failures.push(format!(
+                        "{solver} {field:?} {ring}: converged {}, {} iterations (clean {}), \
+                         summary {:?}, recoveries {:?}",
+                        report.converged,
+                        report.total_iterations,
+                        clean.total_iterations,
+                        report.summary,
+                        report.recoveries
+                    ));
+                }
+            }
+        }
+    }
+    assert_eq!(rows, 108);
+    assert!(
+        failures.is_empty(),
+        "{} of {rows} rows did not recover the clean answer:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// `Kx` is in no phase checkpoint: a rollback takes it from the solve's
+/// input snapshot. A NaN planted into `Kx` mid-CG must therefore be
+/// undone by exactly one rollback, with no retry or fallback.
+#[test]
+fn nan_in_kx_mid_cg_is_recovered_by_a_single_rollback() {
+    let cfg = sweep_config(SolverKind::ConjugateGradient);
+    let clean = drive_clean(&cfg, ModelId::Serial);
+    let mesh = cfg.mesh();
+    let plan = SabotagePlan {
+        kernel: "cg_calc_w",
+        invocation: 7,
+        field: FieldId::Kx,
+        index: common::idx(mesh.width(), mesh.i0() + 2, mesh.i0() + 3),
+        mode: SabotageMode::PlantNan,
+    };
+    let (report, fired) = drive_sabotaged(&cfg, ModelId::Serial, plan);
+    assert!(fired);
+    let actions: Vec<_> = report.recoveries.iter().map(|e| &e.action).collect();
+    assert_eq!(
+        actions,
+        [&RecoveryAction::Rollback { to_iteration: 5 }],
+        "one rollback to the iteration-5 checkpoint"
+    );
+    assert!(report.health.is_empty(), "{:?}", report.health);
+    assert!(report.converged);
+    assert_eq!(report.total_iterations, clean.total_iterations);
+    assert_eq!(report.summary, clean.summary);
 }

@@ -10,18 +10,41 @@
 //!   factor of the initial residual, and stagnation (no improvement on
 //!   the best residual inside a window). Trips surface as typed
 //!   [`SolverHealth`] events on [`crate::solver::SolveOutcome`].
-//! * [`FieldCheckpoint`] — a bit-exact snapshot of the solve-relevant
-//!   fields taken through the cost-free
-//!   [`inspect_field`](TeaLeafPort::inspect_field) /
+//! * [`FieldCheckpoint`] — a bit-exact snapshot of the live solve fields
+//!   taken through the cost-free [`field`](TeaLeafPort::field) /
 //!   [`poke_field`](TeaLeafPort::poke_field) hooks, so checkpointing is
 //!   invisible to the simulated cost stream and a rolled-back replay is
 //!   bit-identical to a run that never faulted.
 //! * [`run_with_recovery`] — the fallback-chain harness wrapped around
-//!   [`crate::solver::solve`]: on a sentinel trip it restores the
-//!   solve-start checkpoint and degrades along a configurable chain
-//!   (retry the primary — with exponentially widened eigenvalue
-//!   estimation windows for Chebyshev/PPCG — then CG, then Jacobi),
-//!   with every action recorded as a [`RecoveryEvent`].
+//!   [`crate::solver::solve`]: on a sentinel trip, or a healthy-looking
+//!   attempt whose answer holds a non-finite interior cell of `u`, it
+//!   restores the solve's input snapshot and degrades along a
+//!   configurable chain (retry the primary — with exponentially widened
+//!   eigenvalue estimation windows for Chebyshev/PPCG — then CG, then
+//!   Jacobi), with every action recorded as a [`RecoveryEvent`].
+//!
+//! ## What a checkpoint holds
+//!
+//! A checkpoint copies only the fields a replay reads before it writes
+//! them, taken from the kernel IR's read/write sets ([`crate::ir`]) plus
+//! the halo rule: stencils read the depth-1 ring of their stencil field,
+//! and only `halo_update` writes rings. That gives three sets:
+//!
+//! * [`INPUT`] — live at solve entry, captured once per solve by
+//!   [`run_with_recovery`]; every retry and fallback restores from it.
+//!   `R` is here because the Jacobi stencil reads `R`'s ring and
+//!   `jacobi_copy` writes only its interior.
+//! * [`CARRIED`] — live at the CG loop head; the in-phase checkpoint
+//!   ([`PhaseGuard`]) captures and recaptures just these.
+//! * [`READ_ONLY`] — read by the solvers but written by none of their
+//!   kernels, so a phase rollback restores them from the input snapshot
+//!   instead of keeping a second copy.
+//!
+//! `W`, `Z` and `Sd` are dead at both points: every cell of them that is
+//! read is written first. `crates/tealeaf/tests/live_sets.rs` derives
+//! the three sets from the IR and from recorded solves, so a kernel that
+//! starts reading a new field fails there rather than silently breaking
+//! recovery.
 //!
 //! The determinism contract carries over: sentinels are pure functions
 //! of residual values, checkpoints capture exact bits, and recovery
@@ -39,7 +62,8 @@ use crate::solver::{solve_once, SolveOutcome};
 /// A numerical-health event observed during a solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverHealth {
-    /// The residual measure became NaN or ±Inf.
+    /// The residual measure became NaN or ±Inf, or an attempt that
+    /// tripped nothing left a NaN or ±Inf in the interior of `u`.
     NonFinite { iteration: usize },
     /// The residual grew beyond `tl_divergence_factor` times the
     /// initial residual.
@@ -145,10 +169,10 @@ impl fmt::Display for RecoveryEvent {
 pub enum RecoveryAction {
     /// Restored an in-solve checkpoint and replayed from `to_iteration`.
     Rollback { to_iteration: usize },
-    /// Restored the solve-start checkpoint and re-ran `solver` (for the
+    /// Restored the solve's input snapshot and re-ran `solver` (for the
     /// Chebyshev family, with a widened `presteps` estimation window).
     Retry { solver: SolverKind, presteps: usize },
-    /// Restored the solve-start checkpoint and degraded `from` → `to`.
+    /// Restored the solve's input snapshot and degraded `from` → `to`.
     Fallback { from: SolverKind, to: SolverKind },
     /// Chain exhausted; the outcome is the last attempt's, unrecovered.
     Abort,
@@ -235,21 +259,23 @@ impl Sentinel {
     }
 }
 
-/// Fields a checkpoint must capture to make a solver replay bit-exact:
-/// everything any of the four solvers reads or writes between
-/// `init_fields` and `finalise` (halo cells included — the snapshots are
-/// of the full padded storage).
-pub const SOLVE_FIELDS: [FieldId; 9] = [
+/// Fields live at solve entry: what any solver reads before it writes
+/// it. The solve's input snapshot holds these (see the module docs).
+pub const INPUT: [FieldId; 5] = [
     FieldId::U,
     FieldId::U0,
-    FieldId::P,
     FieldId::R,
-    FieldId::W,
-    FieldId::Z,
-    FieldId::Sd,
     FieldId::Kx,
     FieldId::Ky,
 ];
+
+/// Fields live at the CG loop head, [`READ_ONLY`] aside: what a phase
+/// checkpoint holds.
+pub const CARRIED: [FieldId; 3] = [FieldId::U, FieldId::P, FieldId::R];
+
+/// Fields the solvers read and none of their kernels write: a phase
+/// rollback takes them from the input snapshot.
+pub const READ_ONLY: [FieldId; 3] = [FieldId::U0, FieldId::Kx, FieldId::Ky];
 
 /// A bit-exact snapshot of solver fields, captured and restored through
 /// the cost-free observation hooks so it never perturbs the simulated
@@ -297,19 +323,34 @@ impl FieldCheckpoint {
     /// Write every captured cell back, restoring the exact bits.
     pub fn restore(&self, port: &mut dyn TeaLeafPort) {
         for (id, data) in &self.fields {
-            for (k, &value) in data.iter().enumerate() {
-                port.poke_field(*id, k, value);
-            }
+            poke_all(port, *id, data);
+        }
+    }
+
+    /// [`restore`](Self::restore) limited to the captured fields in `ids`.
+    pub fn restore_only(&self, port: &mut dyn TeaLeafPort, ids: &[FieldId]) {
+        for (id, data) in self.fields.iter().filter(|(id, _)| ids.contains(id)) {
+            poke_all(port, *id, data);
         }
     }
 }
 
+fn poke_all(port: &mut dyn TeaLeafPort, id: FieldId, data: &[f64]) {
+    for (k, &value) in data.iter().enumerate() {
+        port.poke_field(id, k, value);
+    }
+}
+
 /// In-solve guard the CG-family phase loop drives: sentinel checks plus
-/// K-iteration checkpoints with capped rollback. Shared by plain CG and
-/// the Chebyshev/PPCG presteps through [`crate::solver::cg::run_phase`].
-pub struct PhaseGuard {
+/// K-iteration checkpoints of [`CARRIED`] with capped rollback. Shared by
+/// plain CG and the Chebyshev/PPCG presteps through
+/// [`crate::solver::cg::run_phase`].
+pub struct PhaseGuard<'a> {
     /// The sentinel the phase feeds.
     pub sentinel: Sentinel,
+    /// The solve's input snapshot, where a rollback takes [`READ_ONLY`]
+    /// from.
+    input: Option<&'a FieldCheckpoint>,
     checkpoint_interval: usize,
     rollback_budget: usize,
     checkpoint: Option<PhaseCheckpoint>,
@@ -343,19 +384,21 @@ pub enum PhaseVerdict {
     Bail,
 }
 
-impl PhaseGuard {
-    /// A guard with the deck's thresholds and rollback budget. Passing
-    /// `tl_resilience = false` decks here is fine: [`disabled`] variants
-    /// keep the sentinel but never checkpoint.
-    pub fn new(config: &TeaConfig) -> Self {
+impl<'a> PhaseGuard<'a> {
+    /// A guard with the deck's thresholds and rollback budget. Without
+    /// the solve's `input` snapshot, or on a `tl_resilience = false`
+    /// deck, it keeps the sentinel but never checkpoints.
+    pub fn new(config: &TeaConfig, input: Option<&'a FieldCheckpoint>) -> Self {
+        let resilient = config.tl_resilience && input.is_some();
         PhaseGuard {
             sentinel: Sentinel::new(config),
-            checkpoint_interval: if config.tl_resilience {
+            input,
+            checkpoint_interval: if resilient {
                 config.tl_checkpoint_interval
             } else {
                 0
             },
-            rollback_budget: if config.tl_resilience {
+            rollback_budget: if resilient {
                 config.tl_max_recoveries
             } else {
                 0
@@ -388,10 +431,10 @@ impl PhaseGuard {
         // building a second snapshot beside it.
         let fields = match self.checkpoint.take() {
             Some(PhaseCheckpoint { mut fields, .. }) => {
-                fields.recapture(port, &SOLVE_FIELDS);
+                fields.recapture(port, &CARRIED);
                 fields
             }
-            None => FieldCheckpoint::capture(port, &SOLVE_FIELDS),
+            None => FieldCheckpoint::capture(port, &CARRIED),
         };
         self.checkpoint = Some(PhaseCheckpoint {
             iteration,
@@ -435,6 +478,9 @@ impl PhaseGuard {
             if let Some(ck) = self.checkpoint.take() {
                 self.rollback_budget -= 1;
                 ck.fields.restore(port);
+                self.input
+                    .expect("checkpoints are only taken with an input snapshot")
+                    .restore_only(port, &READ_ONLY);
                 self.sentinel = ck.sentinel.clone();
                 self.recoveries.push(RecoveryEvent {
                     step: 0,
@@ -528,14 +574,33 @@ fn healthy(outcome: &SolveOutcome) -> bool {
     outcome.health.is_empty()
 }
 
+/// True when every interior cell of `u` is finite. The halo is left out:
+/// no answer reads it, and the next step's halo update rewrites it.
+fn interior_u_is_finite(port: &dyn TeaLeafPort, config: &TeaConfig) -> bool {
+    let mesh = config.mesh();
+    let finite = |u: &[f64]| {
+        (mesh.i0()..mesh.j1()).all(|j| {
+            u[mesh.idx(mesh.i0(), j)..mesh.idx(mesh.i1(), j)]
+                .iter()
+                .all(|v| v.is_finite())
+        })
+    };
+    match port.field(FieldId::U) {
+        Some(u) => finite(u),
+        None => port.inspect_field(FieldId::U).is_none_or(|u| finite(&u)),
+    }
+}
+
 /// Run the configured solver under the recovery harness: capture the
-/// solve-start checkpoint, attempt the degradation plan in order, and
-/// accumulate every health event and recovery action onto the returned
-/// outcome. On healthy runs this is numerically inert — the checkpoint
-/// capture reads cost-free hooks and the first attempt is exactly the
-/// plain solve.
+/// solve's [`INPUT`] snapshot, attempt the degradation plan in order,
+/// and accumulate every health event and recovery action onto the
+/// returned outcome. An attempt that ends without a sentinel trip but
+/// with a non-finite interior cell of `u` — a fault in a cell no later
+/// residual reads — counts as [`SolverHealth::NonFinite`]. On healthy
+/// runs this is numerically inert — the snapshot and the scan read
+/// cost-free hooks and the first attempt is exactly the plain solve.
 pub fn run_with_recovery(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
-    let baseline = FieldCheckpoint::capture(port, &SOLVE_FIELDS);
+    let input = FieldCheckpoint::capture(port, &INPUT);
     let plan = plan_attempts(config);
     let mut health: Vec<SolverHealth> = Vec::new();
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
@@ -545,7 +610,7 @@ pub fn run_with_recovery(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> Solv
         if i > 0 {
             // The previous attempt tripped: restore the pristine solve
             // state and record what we are about to do about it.
-            baseline.restore(port);
+            input.restore(port);
             let trigger = health.last().cloned().unwrap_or(SolverHealth::Fatal {
                 solver: config.solver,
             });
@@ -575,12 +640,24 @@ pub fn run_with_recovery(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> Solv
         let mut cfg = config.clone();
         cfg.solver = attempt.solver;
         cfg.tl_ch_cg_presteps = attempt.presteps;
-        let mut outcome = solve_once(port, &cfg);
+        let mut outcome = solve_once(port, &cfg, Some(&input));
         recoveries.append(&mut outcome.recoveries);
         if healthy(&outcome) {
-            outcome.health = health;
-            outcome.recoveries = recoveries;
-            return outcome;
+            if interior_u_is_finite(port, config) {
+                outcome.health = health;
+                outcome.recoveries = recoveries;
+                return outcome;
+            }
+            let event = SolverHealth::NonFinite {
+                iteration: outcome.iterations,
+            };
+            let ctx = port.context();
+            ctx.telemetry().event(
+                "sentinel",
+                format_args!("non-finite u after iteration {}", outcome.iterations),
+                ctx.clock.seconds(),
+            );
+            outcome.health.push(event);
         }
         health.append(&mut outcome.health);
         last = Some(outcome);

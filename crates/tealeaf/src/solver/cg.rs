@@ -4,7 +4,7 @@ use tea_core::config::TeaConfig;
 use tea_core::halo::FieldId;
 
 use crate::kernels::{traced_halo, TeaLeafPort};
-use crate::resilience::{PhaseGuard, PhaseVerdict};
+use crate::resilience::{FieldCheckpoint, PhaseGuard, PhaseVerdict};
 use crate::solver::SolveOutcome;
 
 /// The coefficient history a CG phase produces — the Lanczos data
@@ -15,10 +15,15 @@ pub struct CgHistory {
     pub betas: Vec<f64>,
 }
 
-/// Run plain CG to convergence.
-pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// Run plain CG to convergence; `input` is the solve's input snapshot
+/// that in-phase rollback needs (see [`PhaseGuard::new`]).
+pub fn solve(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    input: Option<&FieldCheckpoint>,
+) -> SolveOutcome {
     let mut history = CgHistory::default();
-    let mut guard = PhaseGuard::new(config);
+    let mut guard = PhaseGuard::new(config, input);
     let (mut outcome, _) = run_phase(
         port,
         config.tl_preconditioner,
@@ -38,19 +43,19 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
 ///
 /// The `guard` supplies the resilience hooks: it is armed with the
 /// phase's initial residual, observes every `rrn`, captures a bit-exact
-/// field checkpoint every `tl_checkpoint_interval` iterations, and on a
-/// transient sentinel trip (NaN/Inf or divergence) rolls the phase back
-/// to the last checkpoint — iteration counter, `rro` and the α/β history
-/// included, so a recovered phase is indistinguishable from one that
-/// never faulted. Sentinel trips that cannot be rolled back end the
-/// phase and land in `guard.events`.
+/// checkpoint of the loop-carried fields every `tl_checkpoint_interval`
+/// iterations, and on a transient sentinel trip (NaN/Inf or divergence)
+/// rolls the phase back to the last checkpoint — iteration counter,
+/// `rro` and the α/β history included, so a recovered phase is
+/// indistinguishable from one that never faulted. Sentinel trips that
+/// cannot be rolled back end the phase and land in `guard.events`.
 pub fn run_phase(
     port: &mut dyn TeaLeafPort,
     preconditioner: bool,
     eps: f64,
     max_iters: usize,
     history: &mut CgHistory,
-    guard: &mut PhaseGuard,
+    guard: &mut PhaseGuard<'_>,
 ) -> (SolveOutcome, f64) {
     let tel = port.context().telemetry().clone();
     let mut rro = port.cg_init(preconditioner);

@@ -19,7 +19,7 @@ pub mod ppcg;
 use tea_core::config::{SolverKind, TeaConfig};
 
 use crate::kernels::TeaLeafPort;
-use crate::resilience::{self, RecoveryEvent, SolverHealth};
+use crate::resilience::{self, FieldCheckpoint, RecoveryEvent, SolverHealth};
 
 /// Result of one solve (one timestep's implicit solve).
 #[derive(Debug, Clone, PartialEq)]
@@ -72,15 +72,22 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
     if config.tl_resilience {
         resilience::run_with_recovery(port, config)
     } else {
-        solve_once(port, config)
+        solve_once(port, config, None)
     }
 }
 
 /// Raw single-attempt dispatch: run the configured solver exactly once,
-/// with in-phase sentinels/rollback but no fallback chain. Each attempt
-/// is one `solve` telemetry span, so retries and fallbacks show up as
-/// sibling spans under the step.
-pub fn solve_once(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+/// with in-phase sentinels but no fallback chain. In-phase rollback
+/// needs the solve's `input` snapshot ([`resilience::INPUT`]), which the
+/// recovery harness captures once and lends to every attempt; without it
+/// the phases never checkpoint. Each attempt is one `solve` telemetry
+/// span, so retries and fallbacks show up as sibling spans under the
+/// step.
+pub fn solve_once(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    input: Option<&FieldCheckpoint>,
+) -> SolveOutcome {
     let ctx = port.context();
     let tel = ctx.telemetry().clone();
     let span = tel.open_span(
@@ -90,9 +97,9 @@ pub fn solve_once(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcom
     );
     let outcome = match config.solver {
         SolverKind::Jacobi => jacobi::solve(port, config),
-        SolverKind::ConjugateGradient => cg::solve(port, config),
-        SolverKind::Chebyshev => chebyshev::solve(port, config),
-        SolverKind::Ppcg => ppcg::solve(port, config),
+        SolverKind::ConjugateGradient => cg::solve(port, config, input),
+        SolverKind::Chebyshev => chebyshev::solve(port, config, input),
+        SolverKind::Ppcg => ppcg::solve(port, config, input),
     };
     tel.close_span(span, port.context().clock.seconds());
     outcome

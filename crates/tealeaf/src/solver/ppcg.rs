@@ -12,14 +12,18 @@ use tea_core::halo::FieldId;
 use crate::cheby::{ChebyCoeffs, ChebyShift};
 use crate::eigen::eigenvalue_estimate;
 use crate::kernels::{traced_halo, NormField, TeaLeafPort};
-use crate::resilience::PhaseGuard;
+use crate::resilience::{FieldCheckpoint, PhaseGuard};
 use crate::solver::cg::{self, CgHistory};
 use crate::solver::SolveOutcome;
 
 /// Run the PPCG solver.
-pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
+pub fn solve(
+    port: &mut dyn TeaLeafPort,
+    config: &TeaConfig,
+    input: Option<&FieldCheckpoint>,
+) -> SolveOutcome {
     let mut history = CgHistory::default();
-    let mut guard = PhaseGuard::new(config);
+    let mut guard = PhaseGuard::new(config, input);
     let presteps = config.tl_ch_cg_presteps.min(config.tl_max_iters);
     let (pre_outcome, mut rro) = cg::run_phase(
         port,
@@ -112,7 +116,7 @@ pub fn solve(port: &mut dyn TeaLeafPort, config: &TeaConfig) -> SolveOutcome {
 }
 
 /// Move the guard's accumulated events onto the outcome.
-fn annotate(mut outcome: SolveOutcome, guard: PhaseGuard) -> SolveOutcome {
+fn annotate(mut outcome: SolveOutcome, guard: PhaseGuard<'_>) -> SolveOutcome {
     outcome.health = guard.events;
     outcome.recoveries = guard.recoveries;
     outcome
